@@ -8,9 +8,8 @@ An exact unit-disc module provides the analytic identities the solver is
 validated against.
 """
 
-from .assembly import (SystemBuilder, TensionSystem, assemble_system,
-                       basis_matrices, interior_norm_matrix, point_source_sum,
-                       sqrt_factor)
+from .assembly import (SystemBuilder, TensionSystem, interior_norm_matrix,
+                       point_source_sum, sqrt_factor)
 from .disc import (DiscMode, boundary_ratio, disc_modes_in_window,
                    interior_norm_disc, quasi_orth_gram_norm, weighted_ratio)
 from .geometry import (BoundaryGrid, ChargeSet, InteriorGrid, RadialCurve,

@@ -1,10 +1,12 @@
 """Assembly of the boundary matrices at a fixed energy.
 
 Basis functions are point sources phi_n(x) = Y0(sqrt(E) |x - y_n|) with the
-charges y_n strictly exterior.  Four weighted trace matrices are built
-(values, normal derivative, tangential derivative, dilation derivative), all
-with rows scaled by sqrt(w_m) so that Euclidean norms approximate boundary
-L2 norms.
+charges y_n strictly exterior.  ``SystemBuilder.traces`` builds four weighted
+trace matrices (values, normal derivative, tangential derivative, dilation
+derivative), all with rows scaled by sqrt(w_m) so that Euclidean norms
+approximate boundary L2 norms.  ``SystemBuilder.system`` reduces them to what
+the tensions read: the filtered normal derivative A_w = F A_nor, the
+unfiltered A_nor for the classical tension, and the interior-norm factor B.
 
 The interior L2 norm of an E-Helmholtz function is evaluated on the boundary
 through the Rellich-type identity
@@ -33,41 +35,12 @@ from .weights import build_filter_matrix
 
 @dataclass(frozen=True)
 class TensionSystem:
-    """All matrices needed to evaluate the weighted tension at one energy."""
+    """The matrices the tensions read at one energy."""
 
-    E: float
-    h: float
-    A_val: np.ndarray
+    A_w: np.ndarray      # F @ A_nor, the filtered normal derivative
     A_nor: np.ndarray
-    A_tan: np.ndarray
-    A_dil: np.ndarray
-    F: np.ndarray
-    A_w: np.ndarray      # F @ A_nor
-    H: np.ndarray
-    B: np.ndarray
+    B: np.ndarray        # B^T B ~= H, the interior-norm form
     rank_H: int
-
-
-def basis_matrices(grid, charges, E):
-    """Weighted traces of the point-source basis and its derivatives.
-
-    grad phi_n(x) = -sqrt(E) Y1(sqrt(E)|x - y_n|) (x - y_n)/|x - y_n|.
-    """
-    if not E > 0:
-        raise ValueError("E must be positive")
-    k = np.sqrt(E)
-    dx = grid.x[:, None, :] - charges.y[None, :, :]
-    dist = np.sqrt(np.einsum("mnd,mnd->mn", dx, dx))
-    if dist.min() < 1e-12:
-        m, n = divmod(int(np.argmin(dist)), charges.N)
-        raise SingularKernelError(f"node {m} and charge {n} nearly coincide")
-    sw = np.sqrt(grid.w)[:, None]
-    gfac = -k * bessel_y1(k * dist) / dist
-    A_val = sw * bessel_y0(k * dist)
-    A_nor = sw * gfac * np.einsum("mnd,md->mn", dx, grid.nrm)
-    A_tan = sw * gfac * np.einsum("mnd,md->mn", dx, grid.tng)
-    A_dil = sw * gfac * np.einsum("mnd,md->mn", dx, grid.x)
-    return A_val, A_nor, A_tan, A_dil
 
 
 def interior_norm_matrix(grid, A_val, A_nor, A_tan, A_dil, E):
@@ -99,11 +72,6 @@ def sqrt_factor(H, eps_H=1e-12):
     return B, int(keep.sum())
 
 
-def assemble_system(curve, M, N, tau, E, eps_H=1e-12):
-    """One-shot assembly of the full tension system at energy E."""
-    return SystemBuilder(curve, M, N, tau, eps_H=eps_H).system(E)
-
-
 def point_source_sum(charges, alpha, E, points, block=65536):
     """u(p) = sum_n alpha_n Y0(sqrt(E) |p - y_n|) at interior points.
 
@@ -130,7 +98,6 @@ class SystemBuilder:
             raise ValueError("M must be divisible by 4")
         if N > M:
             raise ValueError("N must not exceed M")
-        self.curve = curve
         self.grid = build_grid(curve, M)
         self.charges = charge_points(curve, N, tau)
         self.eps_H = eps_H
@@ -144,20 +111,27 @@ class SystemBuilder:
         self._proj_dil = np.einsum("mnd,md->mn", dx, self.grid.x) * inv
         self._sw = np.sqrt(self.grid.w)[:, None]
 
-    def system(self, E):
+    def traces(self, E):
+        """Weighted traces (A_val, A_nor, A_tan, A_dil) of the point-source
+        basis and its derivatives at energy E, each M x N.
+
+        grad phi_n(x) = -sqrt(E) Y1(sqrt(E)|x - y_n|) (x - y_n)/|x - y_n|.
+        """
         if not E > 0:
             raise ValueError("E must be positive")
         k = np.sqrt(E)
-        h = 1.0 / k
         y1 = -k * bessel_y1(k * self._dist)
         A_val = self._sw * bessel_y0(k * self._dist)
         A_nor = self._sw * y1 * self._proj_nor
         A_tan = self._sw * y1 * self._proj_tan
         A_dil = self._sw * y1 * self._proj_dil
-        F = build_filter_matrix(self.grid, h)
-        A_w = F @ A_nor
+        return A_val, A_nor, A_tan, A_dil
+
+    def system(self, E):
+        """The TensionSystem at energy E.  The filter matrix, H and the other
+        three traces are freed on return."""
+        A_val, A_nor, A_tan, A_dil = self.traces(E)
+        A_w = build_filter_matrix(self.grid, 1.0 / np.sqrt(E)) @ A_nor
         H = interior_norm_matrix(self.grid, A_val, A_nor, A_tan, A_dil, E)
         B, rank_H = sqrt_factor(H, self.eps_H)
-        return TensionSystem(E=float(E), h=float(h), A_val=A_val, A_nor=A_nor,
-                             A_tan=A_tan, A_dil=A_dil, F=F, A_w=A_w, H=H,
-                             B=B, rank_H=rank_H)
+        return TensionSystem(A_w=A_w, A_nor=A_nor, B=B, rank_H=rank_H)

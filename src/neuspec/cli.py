@@ -275,7 +275,8 @@ def cmd_solve(args):
     status = EXIT_OK
     if not res.converged:
         status = EXIT_NUMERICAL
-        print(f"solve: convergence failure, best iterate at "
+        print(f"solve: no converged interior minimum (evaluation budget "
+              f"spent or bracket end reached), best iterate at "
               f"sqrtE={_fmt(res.sqrtE)}", file=sys.stderr)
     doc = [
         ("sqrtE", _fmt(res.sqrtE)),
@@ -339,52 +340,10 @@ def cmd_mode(args):
 def cmd_disc_check(args):
     schema = {"nmax": (int, 60), "lmax": (int, 5), "out": (str, "")}
     opt = _resolve(args, schema)
-    import numpy as np
+    from .disc import identity_checks
 
-    from . import disc
-    from .errors import NeuspecError
-    from .special import jnprime_zeros
-
-    rows = []
-    failures = 0
-    sqrt2 = np.sqrt(2.0)
-    for n in range(opt["nmax"] + 1):
-        zeros = jnprime_zeros(n, opt["lmax"])
-        for l, mu in enumerate(zeros, start=1):
-            for parity in (("cos",) if n == 0 else ("cos", "sin")):
-                mode = disc.DiscMode(n=n, l=l, mu=float(mu), parity=parity)
-                exact = sqrt2 / np.sqrt(1.0 - (mode.h * n) ** 2)
-                try:
-                    ratio = disc.boundary_ratio(mode)
-                    err = abs(ratio - exact) / exact
-                    ok = err <= 1e-10
-                except NeuspecError as exc:
-                    ratio, err, ok = float("nan"), float("inf"), False
-                failures += not ok
-                rows.append(("v_ratio", n, l, parity, ratio, exact, err, ok))
-                sigma = 1.0 - (mode.h * n) ** 2
-                if sigma >= 2.0 * mode.h ** (2.0 / 3.0):
-                    try:
-                        wr = disc.weighted_ratio(mode)
-                        werr = abs(wr - sqrt2) / sqrt2
-                        wok = werr <= 1e-10
-                    except NeuspecError:
-                        wr, werr, wok = float("nan"), float("inf"), False
-                    failures += not wok
-                    rows.append(("v_ratio_2", n, l, parity, wr, sqrt2, werr, wok))
-    qo = {}
-    for center in (20.0, 40.0, 80.0):
-        qo[center] = disc.quasi_orth_gram_norm(center)
-        ok = 0.3 <= qo[center] <= 6.0
-        failures += not ok
-        rows.append(("quasi_orth", int(center), 0, "-", qo[center],
-                     float("nan"), float("nan"), ok))
-    spread = max(qo.values()) / min(qo.values())
-    ok = spread < 2.0
-    failures += not ok
-    rows.append(("quasi_orth_spread", 0, 0, "-", spread, float("nan"),
-                 float("nan"), ok))
-
+    rows = identity_checks(opt["nmax"], opt["lmax"])
+    failures = sum(not row[-1] for row in rows)
     if opt["out"]:
         lines = ["check,n,l,parity,value,expected,rel_err,pass"]
         for kind, n, l, parity, val, exp, err, ok in rows:

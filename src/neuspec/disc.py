@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, IdentityViolationError,
-                     IncompleteEnumerationError)
-from .special import bessel_jn, bessel_jn_prime, jnprime_zeros_upto
+                     IncompleteEnumerationError, NeuspecError)
+from .special import (bessel_jn, bessel_jn_prime, jnprime_zeros,
+                      jnprime_zeros_upto)
 from .weights import g_weight
 
 
@@ -148,3 +149,46 @@ def quasi_orth_gram_norm(freq_center, window_halfwidth=1.0, M=1024):
     T = np.array(rows)
     gram = (T @ T.T) * (2 * np.pi / M)
     return float(np.linalg.eigvalsh(gram)[-1])
+
+
+def _relative_check(fn, mode, expected):
+    """(value, expected, rel_err, ok) of fn(mode) against expected at 1e-10;
+    a check that raises reads value nan and rel_err inf."""
+    try:
+        value = fn(mode)
+    except NeuspecError:
+        return float("nan"), expected, float("inf"), False
+    err = abs(value - expected) / expected
+    return value, expected, err, err <= 1e-10
+
+
+def identity_checks(nmax=60, lmax=5):
+    """The identity suite, one row (check, n, l, parity, value, expected,
+    rel_err, ok) per check.
+
+    For every mode with n <= nmax and l <= lmax, both parities: the boundary
+    ratio law ("v_ratio") and, inside the square-root regime, its weighted
+    form ("v_ratio_2").  Then the quasi-orthogonality frame norm in unit
+    windows at frequencies 20, 40 and 80 ("quasi_orth", within [0.3, 6]) and
+    their largest ratio ("quasi_orth_spread", below 2).
+    """
+    rows = []
+    sqrt2 = np.sqrt(2.0)
+    for n in range(nmax + 1):
+        for l, mu in enumerate(jnprime_zeros(n, lmax), start=1):
+            for parity in (("cos",) if n == 0 else ("cos", "sin")):
+                mode = DiscMode(n=n, l=l, mu=float(mu), parity=parity)
+                sigma = 1.0 - (mode.h * n) ** 2
+                rows.append(("v_ratio", n, l, parity, *_relative_check(
+                    boundary_ratio, mode, sqrt2 / np.sqrt(sigma))))
+                if sigma >= 2.0 * mode.h ** (2.0 / 3.0):
+                    rows.append(("v_ratio_2", n, l, parity,
+                                 *_relative_check(weighted_ratio, mode, sqrt2)))
+    norms = {center: quasi_orth_gram_norm(center) for center in (20, 40, 80)}
+    for center, norm in norms.items():
+        rows.append(("quasi_orth", center, 0, "-", norm, float("nan"),
+                     float("nan"), 0.3 <= norm <= 6.0))
+    spread = max(norms.values()) / min(norms.values())
+    rows.append(("quasi_orth_spread", 0, 0, "-", spread, float("nan"),
+                 float("nan"), spread < 2.0))
+    return rows

@@ -10,6 +10,9 @@ non-convex configurations.  Located minima convert to bounds:
     eps_clas = C_enn * E * t_clas     (C_enn = 7.4)
 
 both bounding the distance from E to the Neumann spectrum in energy units.
+Each evaluation returns both tensions of its minimizer, the weighted t_min
+and the classical t_clas, from one assembled system; nothing is kept between
+evaluations.
 
 The paper's bound holds for the exact tension; the computed one carries a
 rounding error of a few u*E (u = 2^-53, unit roundoff of binary64) from the
@@ -29,7 +32,7 @@ single evaluations report the computed tension unchanged.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,8 +69,10 @@ class EigenResult:
 
     ``t_min`` bounds the exact tension at ``E`` from above: it is the computed
     minimum tension plus the rounding allowance ``T_ROUNDING_ULPS * u * E``
-    (see the module docstring), and ``eps_new = c_est * t_min``.  ``alpha``
-    and ``slope`` come from the computed tensions themselves.
+    (see the module docstring), and ``eps_new = c_est * t_min``.  ``alpha``,
+    ``t_classical`` and ``slope`` come from the computed tensions themselves.
+    ``converged`` is False when the search ran out of evaluations or ended
+    on a bracket end, where the bounds describe the end, not a dip.
     """
 
     sqrtE: float
@@ -84,29 +89,27 @@ class EigenResult:
 
 
 class TensionSolver:
-    """Minimum-tension evaluator at fixed discretization parameters."""
+    """Minimum-tension evaluator at fixed discretization parameters.
+
+    It holds only energy-independent data, set once in ``__init__``, so an
+    evaluation does not depend on the ones before it.
+    """
 
     def __init__(self, curve, M, N, tau, eps=1e-14, eps_H=1e-12):
         self.builder = SystemBuilder(curve, M, N, tau, eps_H=eps_H)
-        self.curve = curve
         self.eps = eps
-        self.last_system = None
 
     def evaluate(self, E):
-        """TensionEval at energy E (coefficients normalized to unit interior
-        norm); keeps the assembled system available as ``last_system``."""
+        """TensionEval at energy E, with coefficients normalized to unit
+        interior norm and their classical tension."""
         system = self.builder.system(E)
-        self.last_system = system
-        return min_tension(system.A_w, system.B, eps=self.eps, energy=E)
+        ev = min_tension(system.A_w, system.B, eps=self.eps, energy=E)
+        return replace(ev, t_classical=classical_tension(ev.alpha, system.A_nor,
+                                                         system.B))
 
-    def classical(self, E, alpha=None):
-        """Classical (unweighted) tension at E, by default for the minimizer."""
-        if alpha is None:
-            alpha = self.evaluate(E).alpha
-        system = self.last_system
-        if system is None or system.E != E:
-            system = self.builder.system(E)
-            self.last_system = system
+    def classical(self, E, alpha):
+        """Classical (unweighted) tension of the coefficients alpha at E."""
+        system = self.builder.system(E)
         return classical_tension(alpha, system.A_nor, system.B)
 
 
@@ -243,8 +246,10 @@ def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
     attached.  The bounds use the computed minimum tension rounded up by the
     empirical allowance ``T_ROUNDING_ULPS * u * E`` for its rounding error, so
     that the returned ``t_min`` bounds the exact tension and ``eps_new`` keeps
-    the form ``c_est * t_min``.  If the evaluation budget runs out the best
-    iterate is still returned, marked ``converged=False``.
+    the form ``c_est * t_min``.  If the evaluation budget runs out, or the
+    minimum lands on a bracket end (the tension falls toward it, so the dip
+    may lie outside), the best iterate is still returned, marked
+    ``converged=False``.
     """
     f_lo, f_hi = bracket
     if not 0 < f_lo < f_hi:
@@ -258,15 +263,16 @@ def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
         evals[E] = ev
         return ev.t_min ** 2
 
+    E_lo, E_hi = f_lo ** 2, f_hi ** 2
     try:
-        E_star, _, n_evals, _ = parabolic_min(tension_sq, f_lo ** 2, f_hi ** 2,
+        E_star, _, n_evals, _ = parabolic_min(tension_sq, E_lo, E_hi,
                                               tol=tol, budget=budget)
-        converged = True
+        # parabolic_min returns a bracket end bit-exactly, so `in` finds it
+        converged = E_star not in (E_lo, E_hi)
     except ConvergenceFailureError as exc:
         E_star, _, n_evals = exc.best
         converged = False
     best = evals[E_star]
-    t_clas = solver.classical(E_star, best.alpha)
 
     dE = slope_offset if slope_offset is not None else 10.0 * max(tol, 1e-13) * E_star
     # flanking samples for the slope; kept well above the tension floor
@@ -275,10 +281,10 @@ def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
     slope = (t_plus + t_minus - 2.0 * best.t_min) / (2.0 * dE)
 
     t_bound = best.t_min + T_ROUNDING_ULPS * _UNIT_ROUNDOFF * E_star
-    eps_new, eps_clas = inclusion_bounds(E_star, t_bound, t_clas,
+    eps_new, eps_clas = inclusion_bounds(E_star, t_bound, best.t_classical,
                                          c_est=c_est, c_ennenbach=c_ennenbach)
     return EigenResult(sqrtE=float(np.sqrt(E_star)), E=float(E_star),
-                       t_min=float(t_bound), t_classical=float(t_clas),
+                       t_min=float(t_bound), t_classical=float(best.t_classical),
                        alpha=best.alpha, eps_new=float(eps_new),
                        eps_clas=float(eps_clas), n_evals=n_evals,
                        weyl_index=float(weyl_index(curve, E_star)),

@@ -21,7 +21,9 @@ class TensionEval:
     """Result of one tension minimization.
 
     When the reported minimum c_min is degenerate the minimizing alpha is one
-    arbitrary member of the minimizing subspace.
+    arbitrary member of the minimizing subspace.  ``t_classical`` is the
+    classical tension of alpha; ``min_tension`` sees no A_nor and leaves it
+    nan, ``TensionSolver.evaluate`` fills it in.
     """
 
     E: float
@@ -29,6 +31,7 @@ class TensionEval:
     alpha: np.ndarray
     rank_eps: int
     c_min: float
+    t_classical: float = float("nan")
 
 
 def min_tension(A_w, B, eps=1e-14, energy=float("nan")):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from neuspec import (ChargeSet, assemble_system, basis_matrices, build_grid,
+import neuspec.assembly
+from neuspec import (ChargeSet, SystemBuilder, build_filter_matrix, build_grid,
                      charge_points, interior_norm_matrix, jnprime_zero,
                      point_source_sum, sqrt_factor)
 from neuspec.errors import DegenerateNormError, SingularKernelError
@@ -24,11 +25,13 @@ def interior_norm2_oracle(curve, fn, n_theta=2000, n_r=2000):
 
 
 class TestBasisMatrices:
+    """The basis traces from ``SystemBuilder.traces``."""
+
     def test_value_column_replay(self, disc):
-        g = build_grid(disc, 32)
-        cs = charge_points(disc, 8, 0.2)
+        b = SystemBuilder(disc, 32, 8, 0.2)
+        g, cs = b.grid, b.charges
         E = 4.0
-        A, An, At, Ad = basis_matrices(g, cs, E)
+        A, An, At, Ad = b.traces(E)
         k = np.sqrt(E)
         for n in (0, 3, 7):
             col = np.array([
@@ -38,11 +41,11 @@ class TestBasisMatrices:
             assert np.abs(A[:, n] - col).max() < 1e-14
 
     def test_normal_derivative_vs_finite_difference(self, wobbly, rng):
-        g = build_grid(wobbly, 64)
-        cs = charge_points(wobbly, 24, 0.03)
+        b = SystemBuilder(wobbly, 64, 24, 0.03)
+        g, cs = b.grid, b.charges
         E = 9.0
         k = np.sqrt(E)
-        _, An, At, _ = basis_matrices(g, cs, E)
+        _, An, At, _ = b.traces(E)
         step = 1e-6
         for _ in range(20):
             m = int(rng.integers(0, 64))
@@ -57,29 +60,27 @@ class TestBasisMatrices:
     def test_rotation_permutes_columns_on_circle(self, disc):
         # M a multiple of N: rotating by one charge spacing shifts rows by M/N
         M, N = 64, 16
-        g = build_grid(disc, M)
-        cs = charge_points(disc, N, 0.15)
-        A, _, _, _ = basis_matrices(g, cs, 9.0)
+        A, _, _, _ = SystemBuilder(disc, M, N, 0.15).traces(9.0)
         shift = M // N
         for n in (1, 5):
             assert np.abs(np.roll(A[:, 0], shift * n) - A[:, n]).max() < 1e-13
 
-    def test_coincident_charge_rejected(self, disc):
-        g = build_grid(disc, 16)
-        bad = ChargeSet(N=1, tau=0.1, y=g.x[:1].copy())
+    def test_coincident_charge_rejected(self, disc, monkeypatch):
+        node = build_grid(disc, 16).x[:1].copy()
+        monkeypatch.setattr(neuspec.assembly, "charge_points",
+                            lambda curve, N, tau: ChargeSet(N=1, tau=tau, y=node))
         with pytest.raises(SingularKernelError):
-            basis_matrices(g, bad, 4.0)
+            SystemBuilder(disc, 16, 1, 0.1)
 
 
 class TestInteriorNormMatrix:
     @pytest.mark.parametrize("curve_name,sqrtE", [("disc", 10.0), ("wobbly", 10.0)])
     def test_single_column_vs_2d_quadrature(self, curve_name, sqrtE, disc, wobbly):
         curve = {"disc": disc, "wobbly": wobbly}[curve_name]
-        g = build_grid(curve, 512)
-        cs = charge_points(curve, 40, 0.03)
+        b = SystemBuilder(curve, 512, 40, 0.03)
+        cs = b.charges
         E = sqrtE ** 2
-        A, An, At, Ad = basis_matrices(g, cs, E)
-        H = interior_norm_matrix(g, A, An, At, Ad, E)
+        H = interior_norm_matrix(b.grid, *b.traces(E), E)
         n = 7
         k = np.sqrt(E)
         oracle = interior_norm2_oracle(
@@ -88,26 +89,20 @@ class TestInteriorNormMatrix:
         assert abs(H[n, n] - oracle) < 1e-8 * abs(oracle)
 
     def test_symmetry_exact(self, wobbly):
-        g = build_grid(wobbly, 64)
-        cs = charge_points(wobbly, 16, 0.03)
-        A, An, At, Ad = basis_matrices(g, cs, 4.0)
-        H = interior_norm_matrix(g, A, An, At, Ad, 4.0)
+        b = SystemBuilder(wobbly, 64, 16, 0.03)
+        H = interior_norm_matrix(b.grid, *b.traces(4.0), 4.0)
         assert np.abs(H - H.T).max() == 0.0
 
     def test_bilinearity(self, disc, rng):
-        g = build_grid(disc, 64)
-        cs = charge_points(disc, 16, 0.1)
-        A, An, At, Ad = basis_matrices(g, cs, 4.0)
-        H = interior_norm_matrix(g, A, An, At, Ad, 4.0)
+        b = SystemBuilder(disc, 64, 16, 0.1)
+        H = interior_norm_matrix(b.grid, *b.traces(4.0), 4.0)
         a = rng.standard_normal(16)
         assert (2 * a) @ H @ (2 * a) == pytest.approx(4 * (a @ H @ a), rel=1e-14)
 
     def test_formal_positivity(self, wobbly, rng):
-        g = build_grid(wobbly, 128)
-        cs = charge_points(wobbly, 32, 0.03)
+        b = SystemBuilder(wobbly, 128, 32, 0.03)
         E = 25.0
-        A, An, At, Ad = basis_matrices(g, cs, E)
-        H = interior_norm_matrix(g, A, An, At, Ad, E)
+        H = interior_norm_matrix(b.grid, *b.traces(E), E)
         lam1 = np.linalg.eigvalsh(H)[-1]
         for _ in range(50):
             a = rng.standard_normal(32)
@@ -144,35 +139,44 @@ class TestSqrtFactor:
 
 
 class TestAssembleSystem:
+    """``SystemBuilder.system`` and its parameter checks."""
+
     def test_smoke_on_disc_eigenvalue(self, disc):
         E = jnprime_zero(30, 1) ** 2
-        sys_ = assemble_system(disc, 128, 64, 0.1, E)
+        b = SystemBuilder(disc, 128, 64, 0.1)
+        sys_ = b.system(E)
         assert sys_.rank_H >= 1
         assert np.isfinite(sys_.A_w).all()
-        assert np.isfinite(sys_.H).all()
-        assert abs(sys_.h - E ** -0.5) < 1e-16
+        assert np.isfinite(interior_norm_matrix(b.grid, *b.traces(E), E)).all()
 
     def test_weighted_matrix_replay(self, disc):
-        sys_ = assemble_system(disc, 64, 16, 0.1, 9.0)
-        M, N = sys_.A_nor.shape
+        # A_w is the filter at h = E^(-1/2) applied to the normal derivative
+        b = SystemBuilder(disc, 64, 16, 0.1)
+        sys_ = b.system(9.0)
+        F = build_filter_matrix(b.grid, 9.0 ** -0.5)
+        A_nor = b.traces(9.0)[1]
+        assert np.array_equal(sys_.A_nor, A_nor)
+        M, N = A_nor.shape
         Aw = np.zeros((M, N))
         for m in range(M):
             for n in range(N):
-                Aw[m, n] = sum(sys_.F[m, j] * sys_.A_nor[j, n] for j in range(M))
+                Aw[m, n] = sum(F[m, j] * A_nor[j, n] for j in range(M))
         scale = np.abs(sys_.A_w).max()
         assert np.abs(Aw - sys_.A_w).max() < 1e-12 * scale
 
     def test_h_reconstruction_bound(self, disc):
-        sys_ = assemble_system(disc, 128, 48, 0.1, 50.0)
-        lam1 = np.linalg.eigvalsh(sys_.H)[-1]
-        err = np.linalg.norm(sys_.B.T @ sys_.B - sys_.H, "fro")
-        assert err <= 1e-12 * lam1 * sys_.H.shape[0]
+        b = SystemBuilder(disc, 128, 48, 0.1)
+        H = interior_norm_matrix(b.grid, *b.traces(50.0), 50.0)
+        B = b.system(50.0).B
+        lam1 = np.linalg.eigvalsh(H)[-1]
+        err = np.linalg.norm(B.T @ B - H, "fro")
+        assert err <= 1e-12 * lam1 * H.shape[0]
 
     def test_parameter_validation(self, disc):
         with pytest.raises(ValueError):
-            assemble_system(disc, 66, 16, 0.1, 4.0)   # M not divisible by 4
+            SystemBuilder(disc, 66, 16, 0.1)   # M not divisible by 4
         with pytest.raises(ValueError):
-            assemble_system(disc, 64, 128, 0.1, 4.0)  # N > M
+            SystemBuilder(disc, 64, 128, 0.1)  # N > M
 
 
 class TestPointSourceSum:

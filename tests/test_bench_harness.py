@@ -1,0 +1,51 @@
+"""The benchmark's tracer (bench/instrument.py) wraps package names by
+attribute lookup.  These tests fail when a change to the package drops or
+renames one of them, which would otherwise show only when
+``bench/run.py --trace 1`` runs."""
+
+import sys
+from pathlib import Path
+
+import neuspec.assembly
+import neuspec.cli
+import neuspec.geometry
+import neuspec.search
+from neuspec import RadialCurve, SystemBuilder, TensionSolver
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from instrument import NeuspecTrace  # noqa: E402
+from spans import Tracer, nesting_errors  # noqa: E402
+
+OWNERS = (neuspec.assembly, neuspec.cli, neuspec.geometry, neuspec.search,
+          SystemBuilder, TensionSolver)
+
+
+def test_install_trace_solve_restore(tmp_path):
+    before = [dict(vars(owner)) for owner in OWNERS]
+    tracer = Tracer()
+    trace = NeuspecTrace(tracer)
+    trace.install()
+    try:
+        trace.begin_op(0, "solve")
+        rc = neuspec.cli.main(["solve", "--curve", "radial:a0=1,eps=0,k=1,b=0",
+                               "--f0", "3.81", "--f1", "3.84", "--M", "64",
+                               "--N", "32", "--tau", "0.1", "--coarse", "5",
+                               "--out", str(tmp_path / "solve.json")])
+    finally:
+        tracer.restore()
+    assert rc == 0
+    assert [dict(vars(owner)) for owner in OWNERS] == before
+    assert not nesting_errors(tracer.spans)
+    names = [s.name for s in tracer.spans]
+    assert names.count("assembly.system") == names.count("search.evaluate")
+    assert names.count("tension.classical_tension") == names.count("search.evaluate")
+    assert tracer.counts["search.evals.total"] == names.count("search.evaluate")
+    assert tracer.counts["search.evals.reassembly"] == 0
+
+
+def test_classical_matches_evaluation():
+    solver = TensionSolver(RadialCurve.circle(), 64, 32, 0.1)
+    E = 3.82 ** 2
+    ev = solver.evaluate(E)
+    assert solver.classical(E, ev.alpha) == ev.t_classical

@@ -97,6 +97,15 @@ class TestSolveCommand:
         for key in ("sqrtE", "t_min", "eps_new"):
             assert cli._fmt(doc[key]) in text
 
+    def test_bracket_end_minimum_exit3(self, tmp_path):
+        # without a presolve the search ends on the bracket's upper end
+        out = tmp_path / "end.json"
+        rc = run(["solve", "--curve", DISC, "--f0", "27.708039453137719",
+                  "--f1", "27.747889183327814", "--M", "256", "--N", "128",
+                  "--tau", "0.1", "--coarse", "0", "--out", str(out)])
+        assert rc == 3
+        assert json.loads(out.read_text())["converged"] is False
+
     def test_malformed_curve_exit2(self, tmp_path):
         rc = run(["solve", "--curve", "radial:bogus", "--f0", "3", "--f1", "4",
                   "--M", "64", "--N", "32", "--tau", "0.1",

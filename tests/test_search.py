@@ -2,9 +2,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from neuspec import (TensionSolver, disc_modes_in_window, inclusion_bounds,
-                     jnprime_zero, jnprime_zeros_upto, localize_minimum,
-                     mode_error_bound, parabolic_min, sweep, weyl_index)
+from neuspec import (SystemBuilder, TensionSolver, classical_tension,
+                     disc_modes_in_window, inclusion_bounds, jnprime_zero,
+                     jnprime_zeros_upto, localize_minimum, mode_error_bound,
+                     parabolic_min, sweep, weyl_index)
 from neuspec.errors import IllSeparatedError
 
 MU_30_1 = 32.534223556790142
@@ -97,6 +98,15 @@ class TestLocalizeMinimum:
         right = (solver.evaluate(res.E + dE).t_min - t0) / dE
         assert abs(abs(left) - abs(right)) <= 0.15 * max(abs(left), abs(right))
 
+    def test_bracket_end_minimum_not_converged(self, disc):
+        # around j'_{20,2} = 27.71213 the tension is noisy at 1e-2 with a
+        # narrow dip, and the search runs to the upper end, 1.98 in E from
+        # the nearest eigenvalue: an end is no certified minimum
+        lo, hi = 27.708039453137719, 27.747889183327814
+        res = localize_minimum(disc, 256, 128, 0.1, (lo, hi))
+        assert res.E == hi ** 2
+        assert not res.converged
+
     def test_returned_min_not_above_any_sample(self, disc):
         solver = TensionSolver(disc, 256, 128, 0.1)
         seen = []
@@ -108,6 +118,53 @@ class TestLocalizeMinimum:
 
         e, y, n, cache = parabolic_min(f, 32.52 ** 2, 32.55 ** 2, tol=1e-13)
         assert y <= min(seen) + 1e-15
+
+
+class TestStatelessSolver:
+    # the disc bracket (3.81, 3.84) holds j'_{0,1} = 3.83171 alone
+    BRACKET = (3.81, 3.84)
+
+    def test_attributes_unchanged(self, disc):
+        solver = TensionSolver(disc, 64, 32, 0.1)
+        before = dict(vars(solver)), dict(vars(solver.builder))
+        solver.evaluate(3.82 ** 2)
+        localize_minimum(disc, 64, 32, 0.1, self.BRACKET, solver=solver)
+        assert (vars(solver), vars(solver.builder)) == before
+
+    def test_evaluation_independent_of_history(self, disc):
+        solver = TensionSolver(disc, 64, 32, 0.1)
+        first = solver.evaluate(3.82 ** 2)
+        solver.evaluate(4.2 ** 2)
+        again = solver.evaluate(3.82 ** 2)
+        assert again.t_min == first.t_min
+        assert again.t_classical == first.t_classical
+        assert np.array_equal(again.alpha, first.alpha)
+
+    def test_classical_tension_matches_fresh_system(self, disc):
+        E = 3.82 ** 2
+        ev = TensionSolver(disc, 64, 32, 0.1).evaluate(E)
+        system = SystemBuilder(disc, 64, 32, 0.1).system(E)
+        assert ev.t_classical == classical_tension(ev.alpha, system.A_nor, system.B)
+
+    def test_one_assembly_per_evaluation(self, disc, monkeypatch):
+        # on this bracket the search's last iterate is not its best, so a
+        # re-assembly at the minimum would show as one call too many
+        counts = {"system": 0, "evaluate": 0}
+
+        def counted(name, fn):
+            def wrapper(self, E):
+                counts[name] += 1
+                return fn(self, E)
+            return wrapper
+
+        monkeypatch.setattr(SystemBuilder, "system",
+                            counted("system", SystemBuilder.system))
+        monkeypatch.setattr(TensionSolver, "evaluate",
+                            counted("evaluate", TensionSolver.evaluate))
+        res = localize_minimum(disc, 64, 32, 0.1, self.BRACKET)
+        assert res.converged
+        assert counts["evaluate"] == res.n_evals + 2  # two slope samples
+        assert counts["system"] == counts["evaluate"]
 
 
 class TestCertificateContainment:
