@@ -21,6 +21,7 @@ from .search import (EigenResult, SweepSample, TensionSolver, inclusion_bounds,
 from .special import (bessel_jn, bessel_jn_prime, bessel_y0, bessel_y1,
                       jnprime_zero, jnprime_zeros, jnprime_zeros_upto)
 from .tension import TensionEval, classical_tension, min_tension, tension_of
-from .weights import FilterSpec, build_filter_matrix, f_weight, g_weight
+from .weights import (FilterSpec, LowRankFilter, build_filter_matrix, f_weight,
+                      g_weight)
 
 __version__ = "0.1.0"

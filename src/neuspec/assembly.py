@@ -120,15 +120,16 @@ class SystemBuilder:
         if not E > 0:
             raise ValueError("E must be positive")
         k = np.sqrt(E)
-        y1 = -k * bessel_y1(k * self._dist)
-        A_val = self._sw * bessel_y0(k * self._dist)
-        A_nor = self._sw * y1 * self._proj_nor
-        A_tan = self._sw * y1 * self._proj_tan
-        A_dil = self._sw * y1 * self._proj_dil
+        kd = k * self._dist
+        sw_y1 = self._sw * (-k * bessel_y1(kd))
+        A_val = self._sw * bessel_y0(kd)
+        A_nor = sw_y1 * self._proj_nor
+        A_tan = sw_y1 * self._proj_tan
+        A_dil = sw_y1 * self._proj_dil
         return A_val, A_nor, A_tan, A_dil
 
     def system(self, E):
-        """The TensionSystem at energy E.  The filter matrix, H and the other
+        """The TensionSystem at energy E.  The low-rank filter, H and the other
         three traces are freed on return."""
         A_val, A_nor, A_tan, A_dil = self.traces(E)
         A_w = build_filter_matrix(self.grid, 1.0 / np.sqrt(E)) @ A_nor

@@ -235,42 +235,20 @@ def cmd_solve(args):
     if not 0 < opt["f0"] < opt["f1"]:
         raise UsageError("need 0 < f0 < f1")
     curve = parse_curve(opt["curve"])
-    import numpy as np
-
     from .errors import NeuspecError
-    from .search import TensionSolver, localize_minimum
+    from .search import localize_minimum
 
     t_start = time.perf_counter()
     try:
-        solver = TensionSolver(curve, opt["M"], opt["N"], opt["tau"], eps=opt["eps"])
-    except NeuspecError as exc:
-        print(f"solve: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    f_lo, f_hi = opt["f0"], opt["f1"]
-    n_coarse = max(int(opt["coarse"]), 0)
-    if n_coarse >= 3:
-        fs = np.linspace(f_lo, f_hi, n_coarse)
-        ts = np.full(n_coarse, np.inf)
-        for i, f in enumerate(fs):
-            try:
-                ts[i] = solver.evaluate(f * f).t_min
-            except NeuspecError as exc:
-                print(f"solve: presolve failed at sqrtE={_fmt(f)}: {exc}",
-                      file=sys.stderr)
-        if not np.isfinite(ts).any():
-            print("solve: presolve failed at every sample", file=sys.stderr)
-            return EXIT_NUMERICAL
-        best = int(np.argmin(ts))
-        best = min(max(best, 1), n_coarse - 2)
-        f_lo, f_hi = fs[best - 1], fs[best + 1]
-    try:
         res = localize_minimum(curve, opt["M"], opt["N"], opt["tau"],
-                               (f_lo, f_hi), tol=opt["tol"], eps=opt["eps"],
-                               c_est=opt["cest"], c_ennenbach=opt["cenn"],
-                               solver=solver)
+                               (opt["f0"], opt["f1"]), tol=opt["tol"],
+                               eps=opt["eps"], c_est=opt["cest"],
+                               c_ennenbach=opt["cenn"], coarse=opt["coarse"])
     except NeuspecError as exc:
         print(f"solve: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    for f, msg in res.presolve_failures:
+        print(f"solve: presolve failed at sqrtE={_fmt(f)}: {msg}", file=sys.stderr)
     wall = time.perf_counter() - t_start
     status = EXIT_OK
     if not res.converged:

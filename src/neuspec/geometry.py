@@ -9,6 +9,9 @@ Normals point outward.  The analysis behind the tension functional only uses
 norms of the normal derivative, so orientation is free; outward keeps
 x . n > 0 on star-shaped curves, which makes the interior-norm matrix built
 downstream formally positive.
+
+Arclength at the nodes comes from the spectrally integrated speed, one FFT
+and one inverse FFT, so it costs O(M log M).
 """
 
 from dataclasses import dataclass
@@ -175,8 +178,10 @@ def arclength_spectral(curve, M):
     interpolant of the speed samples.
 
     The zero Fourier mode integrates to the linear term (L/2pi) t; each
-    nonzero mode n contributes (c_n/(i n)) (e^{i n t} - 1).  The Nyquist mode
-    integrates to zero at the nodes and is dropped.  Returns (s, L).
+    nonzero mode n contributes g_n (e^{i n t} - 1) with g_n = c_n/(i n).  The
+    Nyquist mode integrates to zero at the nodes and is dropped.  The sum
+    over n at all nodes is one inverse FFT, so the cost is O(M log M).
+    Returns (s, L).
     """
     if M % 2:
         raise InvalidCurveError("M must be even")
@@ -186,8 +191,9 @@ def arclength_spectral(curve, M):
     L = 2 * np.pi * c[0].real
     n = np.fft.fftfreq(M, d=1.0 / M)
     keep = (n != 0) & (np.abs(n) != M // 2)
-    phase = np.exp(1j * np.outer(t, n[keep])) - 1.0
-    s = c[0].real * t + (phase @ (c[keep] / (1j * n[keep]))).real
+    g = np.zeros(M, dtype=complex)
+    g[keep] = c[keep] / (1j * n[keep])
+    s = c[0].real * t + (M * np.fft.ifft(g) - g.sum()).real
     return s, L
 
 

@@ -4,7 +4,10 @@ The minimum tension as a function of energy looks like a slightly rounded
 absolute-value graph near each Neumann eigenvalue, so its square is locally
 parabolic: the search keeps a bracketing triple of t^2(E) ordinates, jumps to
 the fitted parabola's vertex, and falls back to golden-section steps for
-non-convex configurations.  Located minima convert to bounds:
+non-convex configurations.  ``localize_minimum`` can first sample the bracket
+coarsely (the presolve) and keep the neighbours of the smallest tension; the
+search starts from those two samples without evaluating them again.  Located
+minima convert to bounds:
 
     eps_new  = C_est * t_min          (C_est = 1.6)
     eps_clas = C_enn * E * t_clas     (C_enn = 7.4)
@@ -37,7 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import SystemBuilder
-from .errors import ConvergenceFailureError, IllSeparatedError, NeuspecError
+from .errors import (ConvergenceFailureError, IllSeparatedError, NeuspecError,
+                     NumericalError)
 from .geometry import area, arclength_spectral
 from .tension import classical_tension, min_tension
 
@@ -73,6 +77,8 @@ class EigenResult:
     ``t_classical`` and ``slope`` come from the computed tensions themselves.
     ``converged`` is False when the search ran out of evaluations or ended
     on a bracket end, where the bounds describe the end, not a dip.
+    ``presolve_failures`` lists the (sqrtE, message) of presolve samples
+    whose evaluation failed.
     """
 
     sqrtE: float
@@ -86,6 +92,7 @@ class EigenResult:
     weyl_index: float
     slope: float
     converged: bool = True
+    presolve_failures: tuple = ()
 
 
 class TensionSolver:
@@ -236,11 +243,16 @@ def weyl_index(curve, E):
 def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
                      eps_H=1e-12, budget=60, c_est=C_EST_DEFAULT,
                      c_ennenbach=C_ENNENBACH_DEFAULT, solver=None,
-                     slope_offset=None):
+                     slope_offset=None, coarse=0):
     """Locate one tension minimum inside a frequency bracket and certify it.
 
-    ``bracket`` is (sqrtE_lo, sqrtE_hi) and should contain exactly one local
-    minimum (use a sweep to isolate one).  The search runs in energy E with
+    ``bracket`` is (sqrtE_lo, sqrtE_hi).  With ``coarse >= 3`` it is first
+    sampled at ``coarse`` equispaced frequencies and narrowed to the two
+    neighbours of the smallest tension (the presolve); the search reuses those
+    two samples.  Otherwise the bracket should contain exactly one local
+    minimum (use a sweep to isolate one).  Presolve samples whose evaluation
+    fails are skipped and listed in ``presolve_failures``; if all fail, a
+    ``NumericalError`` is raised.  The search runs in energy E with
     the parabola fit applied to t^2.  After convergence the slope of t vs E
     is measured from two flanking samples, and the inclusion bounds are
     attached.  The bounds use the computed minimum tension rounded up by the
@@ -257,13 +269,31 @@ def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
     if solver is None:
         solver = TensionSolver(curve, M, N, tau, eps=eps, eps_H=eps_H)
     evals = {}
+    E_lo, E_hi = f_lo ** 2, f_hi ** 2
+    failures = []
+    if coarse >= 3:
+        fs = np.linspace(f_lo, f_hi, coarse)
+        ts = np.full(coarse, np.inf)
+        for i, f in enumerate(fs):
+            try:
+                ev = solver.evaluate(f * f)
+            except NeuspecError as exc:
+                failures.append((float(f), str(exc)))
+                continue
+            evals[f * f] = ev
+            ts[i] = ev.t_min
+        if not evals:
+            f, msg = failures[0]
+            raise NumericalError(f"presolve failed at every sample "
+                                 f"(first at sqrtE={f!r}: {msg})")
+        best = min(max(int(np.argmin(ts)), 1), coarse - 2)
+        E_lo, E_hi = fs[best - 1] ** 2, fs[best + 1] ** 2
 
     def tension_sq(E):
-        ev = solver.evaluate(E)
-        evals[E] = ev
-        return ev.t_min ** 2
+        if E not in evals:
+            evals[E] = solver.evaluate(E)
+        return evals[E].t_min ** 2
 
-    E_lo, E_hi = f_lo ** 2, f_hi ** 2
     try:
         E_star, _, n_evals, _ = parabolic_min(tension_sq, E_lo, E_hi,
                                               tol=tol, budget=budget)
@@ -288,4 +318,5 @@ def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
                        alpha=best.alpha, eps_new=float(eps_new),
                        eps_clas=float(eps_clas), n_evals=n_evals,
                        weyl_index=float(weyl_index(curve, E_star)),
-                       slope=float(slope), converged=converged)
+                       slope=float(slope), converged=converged,
+                       presolve_failures=tuple(failures))

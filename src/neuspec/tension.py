@@ -7,6 +7,15 @@ B.  Because Q has orthonormal columns, ||Q_A b||^2 + ||Q_B b||^2 = ||b||^2,
 so the minimizer of ||Q_A b||/||Q_B b|| is the smallest right singular vector
 of Q_A alone (the CS-decomposition shortcut; no general GSVD kernel needed),
 and the minimum equals c/sqrt(1 - c^2) at the smallest singular value c.
+
+A_w (M x N) is first reduced to the N x N triangular factor R of its QR
+decomposition A_w = Q R (zero rows pad R when M < N), the standard reduction
+of the method of particular solutions (Betcke & Trefethen, SIAM Review 47,
+2005).  Q has orthonormal
+columns, so [R; B] has the same singular values and right factor as
+[A_w; B], and its left factor's R rows give Q_A up to the rotation Q, which
+leaves the singular values and right vectors of Q_A unchanged.  Both SVDs
+then act on N-row blocks instead of M-row ones.
 """
 
 from dataclasses import dataclass
@@ -45,8 +54,13 @@ def min_tension(A_w, B, eps=1e-14, energy=float("nan")):
     B = np.asarray(B, dtype=float)
     if A_w.shape[1] != B.shape[1]:
         raise ValueError("A_w and B must share their column count")
-    stack = np.vstack([A_w, B])
-    U, sig, Wt = np.linalg.svd(stack, full_matrices=False)
+    # A_w = Q R with orthonormal Q: [R; B] has the singular values and right
+    # factor of [A_w; B], and the R rows of its left factor give Q_A up to Q
+    R = np.linalg.qr(A_w, mode="r")
+    if R.shape[0] < R.shape[1]:
+        # fewer rows than columns: pad so that Q_A below stays tall
+        R = np.vstack([R, np.zeros((R.shape[1] - R.shape[0], R.shape[1]))])
+    U, sig, Wt = np.linalg.svd(np.vstack([R, B]), full_matrices=False)
     if sig[0] == 0.0:
         raise RankCollapseError("stacked matrix is identically zero")
     r_eps = int((sig >= eps * sig[0]).sum())
@@ -55,9 +69,9 @@ def min_tension(A_w, B, eps=1e-14, energy=float("nan")):
     U = U[:, :r_eps]
     sig = sig[:r_eps]
     Wt = Wt[:r_eps]
-    Q_A = U[: A_w.shape[0]]
-    # r_eps <= N <= M, so Q_A is tall: its smallest singular value is c[-1]
-    _, c, Vt = np.linalg.svd(Q_A)
+    Q_A = U[: R.shape[0]]
+    # r_eps <= N = rows of R, so Q_A is tall: its smallest singular value is c[-1]
+    _, c, Vt = np.linalg.svd(Q_A, full_matrices=False)
     c_min = float(c[-1])
     if c_min >= 1.0 - 1e-14:
         raise NoInteriorMassError(

@@ -12,6 +12,13 @@ simpler inverse weight actually used inside the tension,
 
 and ``build_filter_matrix`` realizes F_h(1 - h^2 Laplacian) on a boundary
 grid by filtering Fourier coefficients in the arclength variable.
+
+The symbol F_h(1 - xi^2) equals the constant h^{-1/3} wherever
+1 - xi^2 <= h^{2/3}, so only the K ~ 0.96 kL/pi modes inside that support
+(k = 1/h, L the perimeter) differ from a multiple of the identity.  The
+filter is therefore kept as a :class:`LowRankFilter`, h^{-1/3} I plus a
+rank-K correction, and applied with ``@`` in O(MKN) for an M x N block; the
+M x M matrix is never formed (``.dense()`` forms it for tests).
 """
 
 from dataclasses import dataclass
@@ -97,26 +104,84 @@ class FilterSpec:
                    xi=2 * np.pi * n * h / grid.L)
 
 
+@dataclass(frozen=True)
+class LowRankFilter:
+    """F_h(1 - h^2 Laplacian) on a boundary grid, kept in low-rank form.
+
+    The symbol is the constant h^{-1/3} outside its support 1 - xi^2 > h^{2/3},
+    so the filter is h^{-1/3} I plus a rank-K correction through the K kept
+    Fourier columns P = e^{2 pi i n s/L}:
+
+        F X = h^{-1/3} X + 1/2 (Re P(d o P^H (w/L o X)) + w/L o Re P(d o P^H X)),
+
+    the symmetric part of h^{-1/3} I + Re(P diag(d) P^H) diag(w/L).  Both
+    halves are needed because the analysis weights w/L are not uniform.
+    """
+
+    shift: float         # h^{-1/3}, the symbol off its support
+    P: np.ndarray        # (M, K) kept Fourier columns
+    d: np.ndarray        # (K,) symbol minus shift on the kept columns
+    wL: np.ndarray       # (M,) analysis weights w_m / L
+
+    def _correction(self, Z):
+        """Re P (d o P^H Z) for real Z, in real arithmetic.
+
+        With P = C + iS, the float view G = [C_1 S_1 C_2 S_2 ...] of P gives
+        P^H Z = a - ib from one product [a_1; b_1; ...] = G^T Z.  Then
+        Re P(d o (a - ib)) = G [d a_1; d b_1; ...] and the imaginary part is
+        G [-d b_1; d a_1; ...].  The +-n columns are conjugate, so that part
+        vanishes up to rounding; a large one is an error.
+        """
+        G = self.P.view(float)
+        DW = np.repeat(self.d, 2)[:, None] * (G.T @ Z)
+        imag = G @ np.stack([-DW[1::2], DW[0::2]], axis=1).reshape(DW.shape)
+        real = G @ DW
+        scale = max(np.abs(real).max(), np.abs(Z).max())
+        if np.abs(imag).max() > 1e-12 * scale:
+            raise FilterAssemblyError(
+                f"residual imaginary part {np.abs(imag).max():.3e} "
+                f"exceeds tolerance (arclength/phase inconsistency?)"
+            )
+        return real
+
+    def __matmul__(self, X):
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            return (self @ X[:, None])[:, 0]
+        wL = self.wL[:, None]
+        out = self._correction(X)
+        out *= wL
+        out += self._correction(wL * X)
+        out *= 0.5
+        out += self.shift * X
+        return out
+
+    def dense(self):
+        """The M x M matrix, exactly symmetric; a test oracle."""
+        K = (self.P * self.d) @ self.P.conj().T
+        F = K.real * self.wL[None, :] + self.shift * np.eye(len(self.wL))
+        return 0.5 * (F + F.T)
+
+
 def build_filter_matrix(grid, h):
-    """Dense symmetric approximation of F_h(1 - h^2 Laplacian) on the grid.
+    """The boundary filter F_h(1 - h^2 Laplacian) on the grid, as a
+    :class:`LowRankFilter`.
 
     Low frequencies |n| <= M/4 are handled by projection onto the boundary
     Fourier basis e^{2 pi i n s/L} (s the spectral arclength), everything
-    above defaults to h^{-1/3} I.  The analysis weights are w_m / L.  The
-    raw product is real up to rounding (the +-n terms are conjugate);
-    the result is checked and then explicitly symmetrized.
+    above defaults to h^{-1/3} I.  Only the frequencies in the symbol's
+    support 1 - xi^2 > h^{2/3} differ from h^{-1/3}; those K columns are
+    kept, at a cost of O(MK).  The analysis weights are w_m / L.
     """
     spec = FilterSpec.for_grid(grid, h)
     n = np.arange(-spec.n_max, spec.n_max + 1)
-    d = f_weight(1.0 - spec.xi ** 2, h) - h ** (-1.0 / 3.0)
-    P = np.exp((2j * np.pi / grid.L) * np.outer(grid.s, n))
-    K = (P * d) @ P.conj().T
-    F = K * (grid.w / grid.L)[None, :]
-    scale = np.abs(F.real).max()
-    if np.abs(F.imag).max() > 1e-12 * max(scale, 1.0):
-        raise FilterAssemblyError(
-            f"residual imaginary part {np.abs(F.imag).max():.3e} "
-            f"exceeds tolerance (arclength/phase inconsistency?)"
-        )
-    F = F.real + h ** (-1.0 / 3.0) * np.eye(grid.M)
-    return 0.5 * (F + F.T)
+    sigma = 1.0 - spec.xi ** 2
+    kept = sigma > h ** (2.0 / 3.0)
+    shift = h ** (-1.0 / 3.0)
+    phase = (2 * np.pi / grid.L) * np.outer(grid.s, n[kept])
+    # written in place, so no complex temporary the size of P is made
+    P = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=P.real)
+    np.sin(phase, out=P.imag)
+    return LowRankFilter(shift=shift, P=P, d=f_weight(sigma[kept], h) - shift,
+                         wL=grid.w / grid.L)

@@ -153,7 +153,7 @@ class TestAssembleSystem:
         # A_w is the filter at h = E^(-1/2) applied to the normal derivative
         b = SystemBuilder(disc, 64, 16, 0.1)
         sys_ = b.system(9.0)
-        F = build_filter_matrix(b.grid, 9.0 ** -0.5)
+        F = build_filter_matrix(b.grid, 9.0 ** -0.5).dense()
         A_nor = b.traces(9.0)[1]
         assert np.array_equal(sys_.A_nor, A_nor)
         M, N = A_nor.shape

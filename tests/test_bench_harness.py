@@ -14,7 +14,7 @@ from neuspec import RadialCurve, SystemBuilder, TensionSolver
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from instrument import NeuspecTrace  # noqa: E402
+from instrument import SAMPLE_NAMES, NeuspecTrace  # noqa: E402
 from spans import Tracer, nesting_errors  # noqa: E402
 
 OWNERS = (neuspec.assembly, neuspec.cli, neuspec.geometry, neuspec.search,
@@ -42,6 +42,13 @@ def test_install_trace_solve_restore(tmp_path):
     assert names.count("tension.classical_tension") == names.count("search.evaluate")
     assert tracer.counts["search.evals.total"] == names.count("search.evaluate")
     assert tracer.counts["search.evals.reassembly"] == 0
+    # bench/run.py takes the median of every sample list and fails on an
+    # empty one; the filter's byte samples come from its wrapped name
+    assert all(tracer.samples[name] for name in SAMPLE_NAMES)
+    assert (names.count("weights.build_filter_matrix")
+            == names.count("assembly.system"))
+    # the presolve's bracketing samples are reused, not re-assembled
+    assert tracer.counts["search.evals.repeat"] == 0
 
 
 def test_classical_matches_evaluation():

@@ -82,6 +82,20 @@ class TestArclength:
         # increments are midpoint-like vs node weights: O(1/M) agreement
         assert rel.max() < 5.0 / g.M * 4
 
+    def test_matches_direct_mode_sum(self, wobbly):
+        # reference: the sum over the kept Fourier modes written out as an
+        # M x (M-2) phase matrix; the inverse FFT only reorders the sums
+        M = 700
+        s, L = arclength_spectral(wobbly, M)
+        t = 2 * np.pi * np.arange(M) / M
+        c = np.fft.fft(np.abs(wobbly.velocity(t))) / M
+        n = np.fft.fftfreq(M, d=1.0 / M)
+        keep = (n != 0) & (np.abs(n) != M // 2)
+        phase = np.exp(1j * np.outer(t, n[keep])) - 1.0
+        ref = c[0].real * t + (phase @ (c[keep] / (1j * n[keep]))).real
+        assert L == 2 * np.pi * c[0].real
+        assert np.abs(s - ref).max() <= 16 * np.finfo(float).eps * L
+
     def test_doubling_invariance(self, wobbly):
         s1, L1 = arclength_spectral(wobbly, 512)
         s2, L2 = arclength_spectral(wobbly, 1024)

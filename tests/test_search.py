@@ -6,7 +6,7 @@ from neuspec import (SystemBuilder, TensionSolver, classical_tension,
                      disc_modes_in_window, inclusion_bounds, jnprime_zero,
                      jnprime_zeros_upto, localize_minimum, mode_error_bound,
                      parabolic_min, sweep, weyl_index)
-from neuspec.errors import IllSeparatedError
+from neuspec.errors import IllSeparatedError, NumericalError, RankCollapseError
 
 MU_30_1 = 32.534223556790142
 
@@ -118,6 +118,53 @@ class TestLocalizeMinimum:
 
         e, y, n, cache = parabolic_min(f, 32.52 ** 2, 32.55 ** 2, tol=1e-13)
         assert y <= min(seen) + 1e-15
+
+
+class TestPresolve:
+    def test_isolates_the_deeper_dip(self, disc):
+        # [32.4, 32.6] holds j'_{9,7} = 32.50525 and j'_{30,1}: without a
+        # presolve the search lands on j'_{9,7}, with one on j'_{30,1}
+        res = localize_minimum(disc, 256, 128, 0.1, (32.4, 32.6), coarse=21)
+        assert res.converged
+        assert abs(res.sqrtE - MU_30_1) < 1e-10
+        assert res.presolve_failures == ()
+
+    def test_bracketing_samples_reused(self, disc, monkeypatch):
+        energies = []
+        evaluate = TensionSolver.evaluate
+
+        def counted(self, E):
+            energies.append(E)
+            return evaluate(self, E)
+
+        monkeypatch.setattr(TensionSolver, "evaluate", counted)
+        res = localize_minimum(disc, 64, 32, 0.1, (3.7, 3.95), coarse=11)
+        assert res.converged
+        assert len(energies) == len(set(energies))
+        # 11 presolve samples, the search's own minus the two reused ends,
+        # and two slope samples
+        assert len(energies) == 11 + res.n_evals - 2 + 2
+
+    def test_failed_samples_listed_or_raised(self, disc):
+        solver = TensionSolver(disc, 64, 32, 0.1)
+
+        class Flaky:
+            def __init__(self, below):
+                self.below = below
+
+            def evaluate(self, E):
+                if E < self.below:
+                    raise RankCollapseError("injected")
+                return solver.evaluate(E)
+
+        res = localize_minimum(disc, 64, 32, 0.1, (3.7, 3.95), coarse=11,
+                               solver=Flaky(3.75 ** 2))
+        assert res.converged
+        assert [f for f, _ in res.presolve_failures] == [3.7, 3.725]
+        assert all(msg == "injected" for _, msg in res.presolve_failures)
+        with pytest.raises(NumericalError, match="every sample"):
+            localize_minimum(disc, 64, 32, 0.1, (3.7, 3.95), coarse=11,
+                             solver=Flaky(np.inf))
 
 
 class TestStatelessSolver:

@@ -73,6 +73,15 @@ class TestMinTension:
         with pytest.raises(NoInteriorMassError):
             min_tension(A, B)
 
+    def test_fewer_rows_than_columns(self, rng):
+        # A has a null space that B does not: the minimum tension is zero,
+        # and the returned alpha attains it
+        A = rng.standard_normal((3, 6))
+        B = rng.standard_normal((10, 6))
+        res = min_tension(A, B)
+        assert res.t_min < 1e-12
+        assert tension_of(res.alpha, A, B) < 1e-12
+
     def test_column_count_mismatch(self, rng):
         with pytest.raises(ValueError):
             min_tension(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
@@ -96,3 +105,41 @@ class TestTensionOf:
         A, B = well_conditioned_pair(rng)
         a = rng.standard_normal(8)
         assert classical_tension(a, A, B) == tension_of(a, A, B)
+
+
+def unreduced_min_tension(A, B, eps=1e-14):
+    """(t_min, c_min, rank_eps) from the SVD of the full stack [A; B] and the
+    full-matrices SVD of its A rows, without the QR reduction of A."""
+    U, sig, _ = np.linalg.svd(np.vstack([A, B]), full_matrices=False)
+    r_eps = int((sig >= eps * sig[0]).sum())
+    c = np.linalg.svd(U[: A.shape[0], :r_eps], compute_uv=False)
+    return c[-1] / np.sqrt(1.0 - c[-1] ** 2), c[-1], r_eps
+
+
+def ill_conditioned_pair(rng, m=60, n=20, rank_B=14, null=3):
+    """A and B with singular values spread over three to nine decades, B of
+    rank ``rank_B`` < n, both annihilating the same ``null`` directions, so
+    the stack has a clear numerical rank n - null."""
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V = V[:, : n - null]
+    U, _ = np.linalg.qr(rng.standard_normal((m, n - null)))
+    A = (U * np.logspace(0, -rng.uniform(3, 9), n - null)) @ V.T
+    W, _ = np.linalg.qr(rng.standard_normal((n - null, rank_B)))
+    G = (W.T * np.logspace(0, -rng.uniform(3, 9), rank_B)[:, None]) @ V.T
+    B = rng.standard_normal((m, rank_B)) @ G
+    return A, B
+
+
+class TestQRReduction:
+    def test_matches_unreduced_stacked_svd(self, rng):
+        compared = 0
+        for _ in range(40):
+            A, B = ill_conditioned_pair(rng)
+            res = min_tension(A, B)
+            t_ref, c_ref, r_ref = unreduced_min_tension(A, B)
+            assert res.rank_eps == r_ref
+            if t_ref >= 1e-6:
+                compared += 1
+                assert res.t_min == pytest.approx(t_ref, rel=1e-10)
+                assert res.c_min == pytest.approx(c_ref, rel=1e-10)
+        assert compared >= 10

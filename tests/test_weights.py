@@ -1,9 +1,12 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from neuspec import (FilterSpec, build_filter_matrix, build_grid, f_weight,
                      g_weight)
-from neuspec.errors import InvalidCurveError
+from neuspec.errors import FilterAssemblyError, InvalidCurveError
 from neuspec.weights import smooth_step
 
 
@@ -87,7 +90,7 @@ class TestFilterMatrix:
 
     def test_symmetric(self, wobbly):
         g = build_grid(wobbly, 128)
-        F = build_filter_matrix(g, 0.1)
+        F = build_filter_matrix(g, 0.1).dense()
         assert np.abs(F - F.T).max() == 0.0
 
     def test_circle_diagonalized_by_dft(self, disc):
@@ -95,7 +98,7 @@ class TestFilterMatrix:
         # plus h^{-1/3} with the complementary multiplicity
         M, h = 64, 0.05
         g = build_grid(disc, M)
-        F = build_filter_matrix(g, h)
+        F = build_filter_matrix(g, h).dense()
         ev = np.sort(np.linalg.eigvalsh(F))
         n = np.arange(-M // 4, M // 4 + 1)
         xi = 2 * np.pi * n * h / g.L
@@ -111,8 +114,48 @@ class TestFilterMatrix:
         # measured ~0.4% at this resolution
         g = build_grid(wobbly, 700)
         h = 1 / 40.5
-        F = build_filter_matrix(g, h)
+        F = build_filter_matrix(g, h).dense()
         ev = np.linalg.eigvalsh(F)
         hinv = h ** (-1 / 3.0)
         assert ev.min() > 1.0 - 5e-4
         assert ev.max() < hinv * (1.0 + 6e-3)
+
+    def test_rank_is_the_symbol_support(self, wobbly):
+        # only the frequencies with 1 - xi^2 > h^{2/3} differ from h^{-1/3}
+        g = build_grid(wobbly, 700)
+        h = 1 / 40.5
+        F = build_filter_matrix(g, h)
+        xi = FilterSpec.for_grid(g, h).xi
+        assert F.P.shape == (700, 91)
+        assert F.d.shape == (91,)
+        assert np.count_nonzero(1 - xi ** 2 > h ** (2 / 3.0)) == 91
+
+    def test_product_matches_dense(self, wobbly, rng):
+        g = build_grid(wobbly, 700)
+        F = build_filter_matrix(g, 1 / 40.5)
+        X = rng.standard_normal((700, 40))
+        dense = F.dense() @ X
+        assert np.abs(F @ X - dense).max() < 1e-13 * np.abs(dense).max()
+        x = X[:, 0]
+        assert np.abs(F @ x - dense[:, 0]).max() < 1e-13 * np.abs(dense).max()
+
+    def test_imaginary_residual_rejected(self, disc, rng):
+        # a symbol that is not even in n makes the product complex
+        F = build_filter_matrix(build_grid(disc, 64), 0.05)
+        odd = replace(F, d=F.d * np.linspace(0.5, 1.5, len(F.d)))
+        with pytest.raises(FilterAssemblyError):
+            odd @ rng.standard_normal((64, 2))
+
+    def test_never_forms_the_dense_matrix(self, wobbly, rng):
+        # building and applying at M=1400 stays below a quarter of one
+        # M x M complex array; the dense filter alone is twice that
+        M = 1400
+        g = build_grid(wobbly, M)
+        X = rng.standard_normal((M, 16))
+        tracemalloc.start()
+        try:
+            build_filter_matrix(g, 1 / 80.9) @ X
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < M * M * 16 / 4
