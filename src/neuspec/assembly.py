@@ -48,10 +48,11 @@ def interior_norm_matrix(grid, A_val, A_nor, A_tan, A_dil, E):
     u = sum alpha_n phi_n.  Valid because every basis column solves the
     Helmholtz equation at energy E inside the domain."""
     xn = np.einsum("md,md->m", grid.x, grid.nrm)[:, None]
+    X = A_dil.T @ A_nor
     H = (E * (A_val * xn).T @ A_val
          - (A_nor * xn).T @ A_nor
          - (A_tan * xn).T @ A_tan
-         + A_dil.T @ A_nor + A_nor.T @ A_dil) / (2.0 * E)
+         + X + X.T) / (2.0 * E)
     return 0.5 * (H + H.T)
 
 

@@ -266,6 +266,8 @@ def cmd_solve(args):
         ("eps_new_rel", _fmt(res.eps_new / res.E)),
         ("eps_clas_rel", _fmt(res.eps_clas / res.E)),
         ("n_evals", str(res.n_evals)),
+        ("n_presolve", str(res.n_presolve)),
+        ("n_evals_total", str(res.n_evals_total)),
         ("slope", _fmt(res.slope)),
         ("weyl_index", _fmt(res.weyl_index)),
         ("M", str(opt["M"])),

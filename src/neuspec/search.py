@@ -5,9 +5,9 @@ absolute-value graph near each Neumann eigenvalue, so its square is locally
 parabolic: the search keeps a bracketing triple of t^2(E) ordinates, jumps to
 the fitted parabola's vertex, and falls back to golden-section steps for
 non-convex configurations.  ``localize_minimum`` can first sample the bracket
-coarsely (the presolve) and keep the neighbours of the smallest tension; the
-search starts from those two samples without evaluating them again.  Located
-minima convert to bounds:
+on a coarse grid (the presolve) and keep the neighbours of the smallest
+tension; the search starts from those two samples without evaluating them
+again.  Located minima convert to bounds:
 
     eps_new  = C_est * t_min          (C_est = 1.6)
     eps_clas = C_enn * E * t_clas     (C_enn = 7.4)
@@ -32,6 +32,34 @@ eigenvalues (M=256, N=128): over 320 jittered brackets around j'_{30,1}
 j'_{8,6} and j'_{15,3} (tau=0.05), C_est * t(E) fell short of |E - E_j| by at
 most 4.0 u*E; delta_t adds 16 u*E to eps_new, four times that.  Sweeps and
 single evaluations report the computed tension unchanged.
+
+The presolve grid is filled lazily.  The comparable upper and lower bounds
+make the tension locally t(E) ~ s |E - E_j| with a slope s independent of E,
+so the two grid ends predict the dip E0 = E_lo + t_lo (E_hi - E_lo) /
+(t_lo + t_hi) of a symmetric V.  The presolve samples the grid point nearest
+E0 and its two neighbours, and walks one grid point further while the
+smallest sample sits on an edge of the sampled run.  With b the smallest
+sample, the V through its neighbours has slope s = (t_{b-1} + t_{b+1}) /
+(E_{b+1} - E_{b-1}) and dip E_d = E_{b-1} + t_{b-1} / s; the isolation check
+asks that both ends lie on it,
+
+    |t_end / (s |E_end - E_d|) - 1| <= V_FIT_TOL      (V_FIT_TOL = 0.02)
+
+Whenever a sample fails, the smallest sample is a grid end, or the check
+fails, the rest of the grid is sampled, and the presolve proceeds as if it had
+sampled the whole grid.  When the check passes, the skipped samples lie on the
+V away from b, so the smallest sample and its neighbours are those of the
+whole grid.  The tolerance is empirical, not proved.  It was sized on 21-point
+grids: 4 jittered brackets inside [40.50, 40.55] on the three-lobe domain
+(M=700, N=350, tau=0.025) read end ratios within 3e-4 of 1, and 11 disc
+brackets with one dip each, around j'_{30,1} (tau=0.1) and j'_{20,2},
+j'_{8,6}, j'_{15,3} (tau=0.05) at M=256, N=128, within 0.0036 of 1; all 15
+took 5 samples and returned the whole grid's result bit for bit.  The two-dip bracket
+[32.4, 32.6] (j'_{9,7} and j'_{30,1}) read 0.66, and on the bracket around
+the narrow dip at j'_{20,2} (tau=0.1) the walk's smallest sample was its
+upper end, so both sampled the whole grid.  Over 120 random disc brackets
+of width 0.03 to 0.25 in [20, 34], mostly holding several eigenvalues, the
+check never passed on a walk whose minimum differed from the whole grid's.
 """
 
 import math
@@ -48,6 +76,7 @@ from .tension import classical_tension, min_tension
 C_EST_DEFAULT = 1.6
 C_ENNENBACH_DEFAULT = 7.4
 T_ROUNDING_ULPS = 10.0
+V_FIT_TOL = 0.02
 
 _UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
 
@@ -78,7 +107,8 @@ class EigenResult:
     ``converged`` is False when the search ran out of evaluations or ended
     on a bracket end, where the bounds describe the end, not a dip.
     ``presolve_failures`` lists the (sqrtE, message) of presolve samples
-    whose evaluation failed.
+    whose evaluation failed, in grid order; ``n_presolve`` counts the grid
+    samples evaluated, failed ones included.
     """
 
     sqrtE: float
@@ -93,6 +123,15 @@ class EigenResult:
     slope: float
     converged: bool = True
     presolve_failures: tuple = ()
+    n_presolve: int = 0
+
+    @property
+    def n_evals_total(self):
+        """Every evaluation spent: the presolve samples, the search's own
+        less the two bracket ends it takes from the presolve, and the two
+        slope samples."""
+        reused = 2 if self.n_presolve else 0
+        return self.n_presolve + self.n_evals - reused + 2
 
 
 class TensionSolver:
@@ -142,6 +181,48 @@ def sweep(curve, M, N, tau, sqrtE_min, sqrtE_max, steps, eps=1e-14):
                                    rank_eps=0, c_min=float("nan"),
                                    error=str(exc)))
     return out
+
+
+def _v_walk(sample, Es, ts):
+    """Sample the grid ``Es`` only where a V-fit puts the minimum.
+
+    ``sample(i)`` evaluates grid point i, writing its tension to ``ts[i]``
+    (which holds inf until then), and returns whether the evaluation
+    succeeded.  Returns True when the smallest sample is an interior grid
+    point that the isolation check vouches for as the minimum of the whole
+    grid; False when the caller must sample the rest of the grid.
+    """
+    n = len(Es)
+    if not (sample(0) and sample(n - 1)):
+        return False
+    # dip of the symmetric V through the two ends
+    E0 = Es[0] + ts[0] * (Es[-1] - Es[0]) / (ts[0] + ts[-1])
+    c = min(max(int(np.argmin(np.abs(Es - E0))), 1), n - 2)
+    lo, hi = c - 1, c + 1
+    if not all(sample(i) for i in (lo, c, hi)):
+        return False
+    while True:
+        b = int(np.argmin(ts))
+        if b == lo and lo > 0:
+            lo -= 1
+            new = lo
+        elif b == hi and hi < n - 1:
+            hi += 1
+            new = hi
+        else:
+            break
+        if not sample(new):
+            return False
+    if b in (0, n - 1):
+        return False
+    # the V through b's neighbours must also pass through both ends
+    s = (ts[b - 1] + ts[b + 1]) / (Es[b + 1] - Es[b - 1])
+    E_d = Es[b - 1] + ts[b - 1] / s
+    for i in (0, n - 1):
+        v = s * abs(Es[i] - E_d)
+        if not abs(ts[i] - v) <= V_FIT_TOL * v:
+            return False
+    return True
 
 
 def parabolic_min(fn, e_lo, e_hi, tol=1e-13, budget=60):
@@ -247,13 +328,17 @@ def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
     """Locate one tension minimum inside a frequency bracket and certify it.
 
     ``bracket`` is (sqrtE_lo, sqrtE_hi).  With ``coarse >= 3`` it is first
-    sampled at ``coarse`` equispaced frequencies and narrowed to the two
-    neighbours of the smallest tension (the presolve); the search reuses those
-    two samples.  Otherwise the bracket should contain exactly one local
-    minimum (use a sweep to isolate one).  Presolve samples whose evaluation
-    fails are skipped and listed in ``presolve_failures``; if all fail, a
-    ``NumericalError`` is raised.  The search runs in energy E with
-    the parabola fit applied to t^2.  After convergence the slope of t vs E
+    narrowed to the two neighbours of the smallest tension on a grid of
+    ``coarse`` equispaced frequencies (the presolve); the search reuses those
+    two samples.  The presolve samples the grid ends, then walks from the
+    dip a V through the ends predicts, and samples the rest of the grid only
+    when the V-fit isolation check (``V_FIT_TOL``, see the module docstring)
+    cannot vouch that the walk found the grid's minimum.  ``n_presolve``
+    counts the samples taken.  Without a presolve the bracket should contain
+    exactly one local minimum (use a sweep to isolate one).  Presolve samples
+    whose evaluation fails are skipped and listed in ``presolve_failures``;
+    if all fail, a ``NumericalError`` is raised.  The search runs in energy E
+    with the parabola fit applied to t^2.  After convergence the slope of t vs E
     is measured from two flanking samples, and the inclusion bounds are
     attached.  The bounds use the computed minimum tension rounded up by the
     empirical allowance ``T_ROUNDING_ULPS * u * E`` for its rounding error, so
@@ -271,17 +356,32 @@ def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
     evals = {}
     E_lo, E_hi = f_lo ** 2, f_hi ** 2
     failures = []
+    n_presolve = 0
     if coarse >= 3:
         fs = np.linspace(f_lo, f_hi, coarse)
         ts = np.full(coarse, np.inf)
-        for i, f in enumerate(fs):
-            try:
-                ev = solver.evaluate(f * f)
-            except NeuspecError as exc:
-                failures.append((float(f), str(exc)))
-                continue
-            evals[f * f] = ev
-            ts[i] = ev.t_min
+        tried = {}
+
+        def sample(i):
+            """Evaluate grid point i once; whether it succeeded."""
+            if i not in tried:
+                E = fs[i] * fs[i]
+                try:
+                    ev = solver.evaluate(E)
+                except NeuspecError as exc:
+                    tried[i] = str(exc)
+                else:
+                    tried[i] = None
+                    evals[E] = ev
+                    ts[i] = ev.t_min
+            return tried[i] is None
+
+        if not _v_walk(sample, fs * fs, ts):
+            for i in range(coarse):
+                sample(i)
+        n_presolve = len(tried)
+        failures = [(float(fs[i]), msg) for i, msg in sorted(tried.items())
+                    if msg is not None]
         if not evals:
             f, msg = failures[0]
             raise NumericalError(f"presolve failed at every sample "
@@ -319,4 +419,4 @@ def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
                        eps_clas=float(eps_clas), n_evals=n_evals,
                        weyl_index=float(weyl_index(curve, E_star)),
                        slope=float(slope), converged=converged,
-                       presolve_failures=tuple(failures))
+                       presolve_failures=tuple(failures), n_presolve=n_presolve)

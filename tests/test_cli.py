@@ -90,6 +90,9 @@ class TestSolveCommand:
         assert doc["E"] == pytest.approx(doc["sqrtE"] ** 2, rel=1e-15)
         assert doc["eps_new_rel"] == pytest.approx(doc["eps_new"] / doc["E"], rel=1e-12)
         assert doc["n_evals"] >= 3
+        assert 3 <= doc["n_presolve"] <= 5
+        # two samples shared by presolve and search, two slope samples
+        assert doc["n_evals_total"] == doc["n_presolve"] + doc["n_evals"]
         assert doc["M"] == 256 and doc["N"] == 128
         # 17-significant-digit round trip: rewriting the parsed numbers
         # reproduces the same decimal strings

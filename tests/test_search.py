@@ -1,11 +1,13 @@
+import dataclasses
+
 import mpmath as mp
 import numpy as np
 import pytest
 
-from neuspec import (SystemBuilder, TensionSolver, classical_tension,
-                     disc_modes_in_window, inclusion_bounds, jnprime_zero,
-                     jnprime_zeros_upto, localize_minimum, mode_error_bound,
-                     parabolic_min, sweep, weyl_index)
+from neuspec import (EigenResult, SystemBuilder, TensionSolver,
+                     classical_tension, disc_modes_in_window, inclusion_bounds,
+                     jnprime_zero, jnprime_zeros_upto, localize_minimum,
+                     mode_error_bound, parabolic_min, sweep, weyl_index)
 from neuspec.errors import IllSeparatedError, NumericalError, RankCollapseError
 
 MU_30_1 = 32.534223556790142
@@ -141,9 +143,10 @@ class TestPresolve:
         res = localize_minimum(disc, 64, 32, 0.1, (3.7, 3.95), coarse=11)
         assert res.converged
         assert len(energies) == len(set(energies))
-        # 11 presolve samples, the search's own minus the two reused ends,
+        # the presolve samples, the search's own minus the two reused ends,
         # and two slope samples
-        assert len(energies) == 11 + res.n_evals - 2 + 2
+        assert len(energies) == res.n_presolve + res.n_evals - 2 + 2
+        assert len(energies) == res.n_evals_total
 
     def test_failed_samples_listed_or_raised(self, disc):
         solver = TensionSolver(disc, 64, 32, 0.1)
@@ -165,6 +168,73 @@ class TestPresolve:
         with pytest.raises(NumericalError, match="every sample"):
             localize_minimum(disc, 64, 32, 0.1, (3.7, 3.95), coarse=11,
                              solver=Flaky(np.inf))
+
+    # single-dip disc brackets around j'_{30,1} (tau=0.1) and j'_{8,6}
+    # = 27.88927 (tau=0.05)
+    SINGLE_DIPS = [(0.1, (32.52274027225723, 32.553636297388444)),
+                   (0.05, (27.810758164089904, 27.907221165938836))]
+
+    @pytest.mark.parametrize("tau, bracket", SINGLE_DIPS)
+    def test_walk_matches_full_grid(self, disc, tau, bracket):
+        solver = TensionSolver(disc, 256, 128, tau)
+        res = localize_minimum(disc, 256, 128, tau, bracket, coarse=21,
+                               solver=solver)
+        assert 5 <= res.n_presolve < 21
+        # oracle: sample the whole grid, keep the neighbours of its minimum
+        # and search between them without a presolve
+        fs = np.linspace(*bracket, 21)
+        ts = [solver.evaluate(f * f).t_min for f in fs]
+        best = min(max(int(np.argmin(ts)), 1), 19)
+        oracle = localize_minimum(disc, 256, 128, tau,
+                                  (fs[best - 1], fs[best + 1]), coarse=0,
+                                  solver=solver)
+        for field in dataclasses.fields(EigenResult):
+            if field.name != "n_presolve":
+                assert np.array_equal(getattr(res, field.name),
+                                      getattr(oracle, field.name)), field.name
+
+    @pytest.mark.parametrize("bracket, n, l", [
+        ((32.4, 32.6), 30, 1),
+        ((27.708039453137719, 27.747889183327814), 20, 2)])
+    def test_unisolated_dips_sample_whole_grid(self, disc, bracket, n, l):
+        # two dips ([32.4, 32.6]) and a narrow dip that the ends' V misses
+        # both fail the V-fit, so the whole grid is sampled
+        res = localize_minimum(disc, 256, 128, 0.1, bracket, coarse=21)
+        assert res.n_presolve == 21
+        assert res.converged
+        assert abs(res.sqrtE - jnprime_zero(n, l)) < 1e-10
+
+    def test_failed_end_samples_whole_grid(self, disc):
+        solver = TensionSolver(disc, 64, 32, 0.1)
+
+        class FailsAbove:
+            def evaluate(self, E):
+                if E > 3.91 ** 2:
+                    raise RankCollapseError("injected")
+                return solver.evaluate(E)
+
+        res = localize_minimum(disc, 64, 32, 0.1, (3.7, 3.95), coarse=11,
+                               solver=FailsAbove())
+        assert res.converged
+        assert res.n_presolve == 11
+        # the upper end fails first, yet the failures are listed in grid order
+        grid = np.linspace(3.7, 3.95, 11)
+        assert [f for f, _ in res.presolve_failures] == list(grid[9:])
+
+    def test_three_lobe_walk_budget(self, wobbly, monkeypatch):
+        calls = []
+        evaluate = TensionSolver.evaluate
+
+        def counted(self, E):
+            calls.append(E)
+            return evaluate(self, E)
+
+        monkeypatch.setattr(TensionSolver, "evaluate", counted)
+        res = localize_minimum(wobbly, 700, 350, 0.025, (40.50, 40.55),
+                               coarse=21)
+        assert res.converged
+        assert len(calls) == res.n_evals_total <= 12
+        assert res.sqrtE == pytest.approx(40.53011549421898, rel=1e-12)
 
 
 class TestStatelessSolver:
