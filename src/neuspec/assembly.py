@@ -20,14 +20,18 @@ gradient in the cross term this is the form that matches independent 2-D
 quadrature; the terms differing from the commonly quoted
 "+ (d_n u)^2" variant cancel on Neumann data, which is why both look right
 near eigenvalues.)  The quadratic form is H; its truncated eigendecomposition
-provides the square-root factor B with B^T B ~= H.
+provides the square-root factor B with B^T B ~= H.  The form is used only on
+domains star-shaped about the origin, where the boundary weight x.n is
+positive (true of every ``RadialCurve``); ``interior_norm_matrix`` checks it
+at every node.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateNormError, SingularKernelError
+from .errors import (DegenerateNormError, InvalidCurveError,
+                     SingularKernelError)
 from .geometry import build_grid, charge_points
 from .special import bessel_y0, bessel_y1
 from .weights import build_filter_matrix
@@ -46,8 +50,14 @@ class TensionSystem:
 def interior_norm_matrix(grid, A_val, A_nor, A_tan, A_dil, E):
     """Quadratic form H with alpha^T H alpha ~= ||u||^2_{L2(Omega)} for
     u = sum alpha_n phi_n.  Valid because every basis column solves the
-    Helmholtz equation at energy E inside the domain."""
-    xn = np.einsum("md,md->m", grid.x, grid.nrm)[:, None]
+    Helmholtz equation at energy E inside the domain, which must be
+    star-shaped about the origin: x.n > 0 at every node, else
+    ``InvalidCurveError``."""
+    xn = np.einsum("md,md->m", grid.x, grid.nrm)
+    if not np.all(xn > 0):
+        raise InvalidCurveError("the Rellich form needs x.n > 0 at every "
+                                "boundary node (star-shaped about the origin)")
+    xn = xn[:, None]
     X = A_dil.T @ A_nor
     H = (E * (A_val * xn).T @ A_val
          - (A_nor * xn).T @ A_nor

@@ -269,6 +269,9 @@ def cmd_solve(args):
         ("n_presolve", str(res.n_presolve)),
         ("n_evals_total", str(res.n_evals_total)),
         ("slope", _fmt(res.slope)),
+        # inf (no second direction with interior mass) has no JSON number
+        ("t_second", _fmt(res.t_second) if res.t_second < float("inf")
+         else "null"),
         ("weyl_index", _fmt(res.weyl_index)),
         ("M", str(opt["M"])),
         ("N", str(opt["N"])),

@@ -103,7 +103,9 @@ class EigenResult:
     ``t_min`` bounds the exact tension at ``E`` from above: it is the computed
     minimum tension plus the rounding allowance ``T_ROUNDING_ULPS * u * E``
     (see the module docstring), and ``eps_new = c_est * t_min``.  ``alpha``,
-    ``t_classical`` and ``slope`` come from the computed tensions themselves.
+    ``t_classical``, ``t_second`` (the second-smallest tension, small where
+    the eigenvalue is degenerate) and ``slope`` come from the computed
+    tensions themselves.
     ``converged`` is False when the search ran out of evaluations or ended
     on a bracket end, where the bounds describe the end, not a dip.
     ``presolve_failures`` lists the (sqrtE, message) of presolve samples
@@ -121,6 +123,7 @@ class EigenResult:
     n_evals: int
     weyl_index: float
     slope: float
+    t_second: float
     converged: bool = True
     presolve_failures: tuple = ()
     n_presolve: int = 0
@@ -418,5 +421,6 @@ def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
                        alpha=best.alpha, eps_new=float(eps_new),
                        eps_clas=float(eps_clas), n_evals=n_evals,
                        weyl_index=float(weyl_index(curve, E_star)),
-                       slope=float(slope), converged=converged,
+                       slope=float(slope), t_second=best.t_second,
+                       converged=converged,
                        presolve_failures=tuple(failures), n_presolve=n_presolve)

@@ -19,6 +19,15 @@ The symbol F_h(1 - xi^2) equals the constant h^{-1/3} wherever
 filter is therefore kept as a :class:`LowRankFilter`, h^{-1/3} I plus a
 rank-K correction, and applied with ``@`` in O(MKN) for an M x N block; the
 M x M matrix is never formed (``.dense()`` forms it for tests).
+
+The symbol depends on n only through xi^2, so it is even in n, and the
+correction's kernel sum_n d_n e^{2 pi i n (s - s')/L} over n = -n_k..n_k is
+real: d_0 + sum_{n>=1} 2 d_n cos(2 pi n (s - s')/L).  It is applied through
+the real basis {1, sqrt2 cos(2 pi n s/L), sqrt2 sin(2 pi n s/L)}, n = 1..n_k,
+which spans the same K directions as the complex exponentials with K real
+columns instead of 2K.  The kernel is real only for an even symbol, so
+``@`` checks that (exactly: equal xi^2 give bit-equal symbol values) and
+raises ``FilterAssemblyError`` otherwise.
 """
 
 from dataclasses import dataclass
@@ -109,57 +118,49 @@ class LowRankFilter:
     """F_h(1 - h^2 Laplacian) on a boundary grid, kept in low-rank form.
 
     The symbol is the constant h^{-1/3} outside its support 1 - xi^2 > h^{2/3},
-    so the filter is h^{-1/3} I plus a rank-K correction through the K kept
-    Fourier columns P = e^{2 pi i n s/L}:
+    so the filter is h^{-1/3} I plus a rank-K correction through the K real
+    Fourier columns P = [1, sqrt2 cos(2 pi n s/L) for n = 1..n_k,
+    sqrt2 sin(2 pi n s/L) for n = 1..n_k] of the support |n| <= n_k:
 
-        F X = h^{-1/3} X + 1/2 (Re P(d o P^H (w/L o X)) + w/L o Re P(d o P^H X)),
+        F X = h^{-1/3} X + 1/2 (P(d_r o P^T (w/L o X)) + w/L o P(d_r o P^T X)),
 
-    the symmetric part of h^{-1/3} I + Re(P diag(d) P^H) diag(w/L).  Both
+    the symmetric part of h^{-1/3} I + P diag(d_r) P^T diag(w/L), with d_r
+    the symbol on n = 0..n_k followed by the symbol on n = 1..n_k.  Both
     halves are needed because the analysis weights w/L are not uniform.
     """
 
     shift: float         # h^{-1/3}, the symbol off its support
-    P: np.ndarray        # (M, K) kept Fourier columns
-    d: np.ndarray        # (K,) symbol minus shift on the kept columns
+    P: np.ndarray        # (M, K) real Fourier columns on the support
+    d: np.ndarray        # (K,) symbol minus shift on n = -n_k..n_k
     wL: np.ndarray       # (M,) analysis weights w_m / L
 
-    def _correction(self, Z):
-        """Re P (d o P^H Z) for real Z, in real arithmetic.
-
-        With P = C + iS, the float view G = [C_1 S_1 C_2 S_2 ...] of P gives
-        P^H Z = a - ib from one product [a_1; b_1; ...] = G^T Z.  Then
-        Re P(d o (a - ib)) = G [d a_1; d b_1; ...] and the imaginary part is
-        G [-d b_1; d a_1; ...].  The +-n columns are conjugate, so that part
-        vanishes up to rounding; a large one is an error.
-        """
-        G = self.P.view(float)
-        DW = np.repeat(self.d, 2)[:, None] * (G.T @ Z)
-        imag = G @ np.stack([-DW[1::2], DW[0::2]], axis=1).reshape(DW.shape)
-        real = G @ DW
-        scale = max(np.abs(real).max(), np.abs(Z).max())
-        if np.abs(imag).max() > 1e-12 * scale:
+    def _real_symbol(self):
+        """d_r, the symbol on the columns of P; requires d even in n."""
+        if not np.array_equal(self.d, self.d[::-1]):
             raise FilterAssemblyError(
-                f"residual imaginary part {np.abs(imag).max():.3e} "
-                f"exceeds tolerance (arclength/phase inconsistency?)"
+                "filter symbol is not even in n, so the filter is not real "
+                "(arclength/phase inconsistency?)"
             )
-        return real
+        n_k = len(self.d) // 2
+        return np.concatenate([self.d[n_k:], self.d[n_k + 1:]])
 
     def __matmul__(self, X):
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             return (self @ X[:, None])[:, 0]
+        d_r = self._real_symbol()[:, None]
         wL = self.wL[:, None]
-        out = self._correction(X)
+        out = self.P @ (d_r * (self.P.T @ X))
         out *= wL
-        out += self._correction(wL * X)
+        out += self.P @ (d_r * (self.P.T @ (wL * X)))
         out *= 0.5
         out += self.shift * X
         return out
 
     def dense(self):
         """The M x M matrix, exactly symmetric; a test oracle."""
-        K = (self.P * self.d) @ self.P.conj().T
-        F = K.real * self.wL[None, :] + self.shift * np.eye(len(self.wL))
+        K = (self.P * self._real_symbol()) @ self.P.T
+        F = K * self.wL[None, :] + self.shift * np.eye(len(self.wL))
         return 0.5 * (F + F.T)
 
 
@@ -168,20 +169,24 @@ def build_filter_matrix(grid, h):
     :class:`LowRankFilter`.
 
     Low frequencies |n| <= M/4 are handled by projection onto the boundary
-    Fourier basis e^{2 pi i n s/L} (s the spectral arclength), everything
-    above defaults to h^{-1/3} I.  Only the frequencies in the symbol's
-    support 1 - xi^2 > h^{2/3} differ from h^{-1/3}; those K columns are
-    kept, at a cost of O(MK).  The analysis weights are w_m / L.
+    Fourier basis (s the spectral arclength), everything above defaults to
+    h^{-1/3} I.  Only the frequencies in the symbol's support
+    1 - xi^2 > h^{2/3}, |n| <= n_k, differ from h^{-1/3}; the K = 2 n_k + 1
+    real columns spanning them are kept, at a cost of O(MK).  The analysis
+    weights are w_m / L.
     """
     spec = FilterSpec.for_grid(grid, h)
-    n = np.arange(-spec.n_max, spec.n_max + 1)
     sigma = 1.0 - spec.xi ** 2
     kept = sigma > h ** (2.0 / 3.0)
     shift = h ** (-1.0 / 3.0)
-    phase = (2 * np.pi / grid.L) * np.outer(grid.s, n[kept])
-    # written in place, so no complex temporary the size of P is made
-    P = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=P.real)
-    np.sin(phase, out=P.imag)
+    # sigma falls with |n|, so the support is |n| <= n_k: K = 2 n_k + 1, or 0
+    K = int(kept.sum())
+    n_k = K // 2
+    phase = (2 * np.pi / grid.L) * np.outer(grid.s, np.arange(1, n_k + 1))
+    P = np.empty((grid.M, K))
+    P[:, :1] = 1.0
+    np.cos(phase, out=P[:, 1:n_k + 1])
+    np.sin(phase, out=P[:, n_k + 1:])
+    P[:, 1:] *= np.sqrt(2.0)
     return LowRankFilter(shift=shift, P=P, d=f_weight(sigma[kept], h) - shift,
                          wL=grid.w / grid.L)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ import neuspec.assembly
 from neuspec import (ChargeSet, SystemBuilder, build_filter_matrix, build_grid,
                      charge_points, interior_norm_matrix, jnprime_zero,
                      point_source_sum, sqrt_factor)
-from neuspec.errors import DegenerateNormError, SingularKernelError
+from neuspec.errors import (DegenerateNormError, InvalidCurveError,
+                            SingularKernelError)
 from neuspec.special import bessel_y0
 
 
@@ -109,6 +112,14 @@ class TestInteriorNormMatrix:
             a /= np.linalg.norm(a)
             assert a @ H @ a >= -1e-8 * lam1
 
+
+    def test_star_shape_required(self, wobbly):
+        # negated normals give x.n < 0 at every node: the Rellich form's
+        # boundary weight would change sign, so the form is refused
+        b = SystemBuilder(wobbly, 64, 16, 0.03)
+        inward = replace(b.grid, nrm=-b.grid.nrm)
+        with pytest.raises(InvalidCurveError):
+            interior_norm_matrix(inward, *b.traces(4.0), 4.0)
 
 class TestSqrtFactor:
     def test_identity(self):

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +98,7 @@ class TestSolveCommand:
         # two samples shared by presolve and search, two slope samples
         assert doc["n_evals_total"] == doc["n_presolve"] + doc["n_evals"]
         assert doc["M"] == 256 and doc["N"] == 128
+        assert doc["t_second"] < 1e-10  # j'_{30,1} is a double eigenvalue
         # 17-significant-digit round trip: rewriting the parsed numbers
         # reproduces the same decimal strings
         text = out.read_text()
@@ -207,6 +212,16 @@ class TestParser:
 
     def test_no_command_exit2(self):
         assert run([]) == 2
+
+    def test_cli_import_loads_no_numpy(self):
+        # --threads sets the BLAS variables in main(); they take effect only
+        # if numpy has not been imported by then
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys, neuspec.cli; sys.exit('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_threads_flag_accepted(self, tmp_path):
         rc = run(["sweep", "--curve", DISC, "--fmin", "3.0", "--fmax", "3.4",

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from neuspec import classical_tension, min_tension, tension_of
+from neuspec import (TensionSolver, classical_tension, jnprime_zero,
+                     min_tension, tension_of)
 from neuspec.errors import NoInteriorMassError, RankCollapseError
 
 
@@ -143,3 +144,62 @@ class TestQRReduction:
                 assert res.t_min == pytest.approx(t_ref, rel=1e-10)
                 assert res.c_min == pytest.approx(c_ref, rel=1e-10)
         assert compared >= 10
+
+    def test_full_rank_stack_takes_qr_path(self, rng, monkeypatch):
+        for _ in range(10):
+            A, B = well_conditioned_pair(rng)
+            t_ref, c_ref, _ = unreduced_min_tension(A, B)
+            res, n_svd = count_svd_calls(monkeypatch, min_tension, A, B)
+            assert n_svd == 1  # only the SVD of Q_A
+            assert res.rank_eps == A.shape[1]
+            assert res.t_min == pytest.approx(t_ref, rel=1e-10)
+            assert res.c_min == pytest.approx(c_ref, rel=1e-10)
+            assert tension_of(res.alpha, A, B) == pytest.approx(res.t_min,
+                                                                rel=1e-10)
+
+    def test_rank_deficient_stack_falls_back(self, rng, monkeypatch):
+        for _ in range(10):
+            A, B = ill_conditioned_pair(rng)
+            _, _, r_ref = unreduced_min_tension(A, B)
+            res, n_svd = count_svd_calls(monkeypatch, min_tension, A, B)
+            assert n_svd == 2  # the stack's, then Q_A's
+            assert res.rank_eps == r_ref < A.shape[1]
+
+
+def count_svd_calls(monkeypatch, fn, *args):
+    """fn(*args) and the number of np.linalg.svd calls it made."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*a, **kw):
+        calls.append(1)
+        return svd(*a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", counting_svd)
+        out = fn(*args)
+    return out, len(calls)
+
+
+class TestSecondTension:
+    def test_single_column_has_no_second(self, rng):
+        A, B = well_conditioned_pair(rng, n=1)
+        assert min_tension(A, B).t_second == float("inf")
+
+    def test_identity_with_second_singular_value(self, rng):
+        A, B = well_conditioned_pair(rng)
+        res = min_tension(A, B)
+        lam = linalg.eigh(A.T @ A, B.T @ B, eigvals_only=True)
+        assert res.t_second == pytest.approx(np.sqrt(lam[1]), rel=1e-10)
+        assert res.t_second >= res.t_min
+
+    @pytest.mark.parametrize("n, l, double", [
+        (5, 2, True), (12, 1, True), (0, 3, False), (0, 5, False)])
+    def test_disc_multiplicity(self, disc, n, l, double):
+        # every disc mode with n >= 1 is double, n = 0 modes are simple
+        solver = TensionSolver(disc, 256, 128, 0.1)
+        ev = solver.evaluate(jnprime_zero(n, l) ** 2)
+        if double:
+            assert ev.t_second < 1e-10
+        else:
+            assert ev.t_second > 1e-6

@@ -139,6 +139,19 @@ class TestFilterMatrix:
         x = X[:, 0]
         assert np.abs(F @ x - dense[:, 0]).max() < 1e-13 * np.abs(dense).max()
 
+    def test_dense_matches_complex_exponential_oracle(self, wobbly):
+        # the real basis spans the complex exponentials e^{2 pi i n s/L},
+        # |n| <= n_k, and the even symbol makes their kernel real
+        g = build_grid(wobbly, 700)
+        F = build_filter_matrix(g, 1 / 40.5)
+        n_k = len(F.d) // 2
+        E = np.exp(2j * np.pi / g.L * np.outer(g.s, np.arange(-n_k, n_k + 1)))
+        K = ((E * F.d) @ E.conj().T).real
+        oracle = K * F.wL[None, :] + F.shift * np.eye(g.M)
+        oracle = 0.5 * (oracle + oracle.T)
+        dense = F.dense()
+        assert np.abs(dense - oracle).max() < 1e-13 * np.abs(oracle).max()
+
     def test_imaginary_residual_rejected(self, disc, rng):
         # a symbol that is not even in n makes the product complex
         F = build_filter_matrix(build_grid(disc, 64), 0.05)
