@@ -214,10 +214,11 @@ def cmd_sweep(args):
     if len(bad) == len(samples):
         print("sweep: every sample failed", file=sys.stderr)
         return EXIT_NUMERICAL
-    lines = ["sqrtE,tension_min,rank_eps,c_min"]
+    lines = ["sqrtE,tension_min,rank_eps,c_min,rank_H"]
     for s in samples:
         if s.ok:
-            lines.append(f"{_fmt(s.sqrtE)},{_fmt(s.t_min)},{s.rank_eps},{_fmt(s.c_min)}")
+            lines.append(f"{_fmt(s.sqrtE)},{_fmt(s.t_min)},{s.rank_eps},"
+                         f"{_fmt(s.c_min)},{s.rank_H}")
     with open(opt["out"], "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return EXIT_OK

@@ -17,6 +17,17 @@ Each evaluation returns both tensions of its minimizer, the weighted t_min
 and the classical t_clas, from one assembled system; nothing is kept between
 evaluations.
 
+The reported slope s of t vs E is a diagnostic that no bound reads.  The
+comparable upper and lower bounds make t(E) ~ s |E - E_j| with s independent
+of E, so s is read off the samples the search already holds, as the secant
+(t_n - t*) / |E_n - E*| from the minimum E* to the refinement sample E_n
+nearest it, and costs no evaluation.  Only the search's own samples are used,
+so the walk and the whole-grid presolve, which hand the search the same
+bracket, give the same slope.  On the disc (M=256, N=128, exact s =
+2^(-1/2) = 0.7071) it read 0.7044 on [32.4, 32.6] at tau=0.1, 0.7071 on
+(32.52, 32.55) without a presolve and 0.7071 around j'_{8,6} at tau=0.05; on
+the three-lobe solve of criterion 4 it reads 0.6474.
+
 The paper's bound holds for the exact tension; the computed one carries a
 rounding error of a few u*E (u = 2^-53, unit roundoff of binary64) from the
 Bessel kernels and from k = fl(sqrt(E)), which moves the floor of the computed
@@ -89,6 +100,7 @@ class SweepSample:
     t_min: float
     rank_eps: int
     c_min: float
+    rank_H: int
     error: str | None = None
 
     @property
@@ -105,7 +117,8 @@ class EigenResult:
     (see the module docstring), and ``eps_new = c_est * t_min``.  ``alpha``,
     ``t_classical``, ``t_second`` (the second-smallest tension, small where
     the eigenvalue is degenerate) and ``slope`` come from the computed
-    tensions themselves.
+    tensions themselves; ``slope`` is the secant from the minimum to the
+    refinement sample nearest it.
     ``converged`` is False when the search ran out of evaluations or ended
     on a bracket end, where the bounds describe the end, not a dip.
     ``presolve_failures`` lists the (sqrtE, message) of presolve samples
@@ -130,11 +143,11 @@ class EigenResult:
 
     @property
     def n_evals_total(self):
-        """Every evaluation spent: the presolve samples, the search's own
-        less the two bracket ends it takes from the presolve, and the two
-        slope samples."""
+        """Every evaluation spent: the presolve samples and the search's own
+        less the two bracket ends it takes from the presolve.  The slope
+        reuses a search sample and costs none."""
         reused = 2 if self.n_presolve else 0
-        return self.n_presolve + self.n_evals - reused + 2
+        return self.n_presolve + self.n_evals - reused
 
 
 class TensionSolver:
@@ -150,11 +163,12 @@ class TensionSolver:
 
     def evaluate(self, E):
         """TensionEval at energy E, with coefficients normalized to unit
-        interior norm and their classical tension."""
+        interior norm, their classical tension and the rank of H."""
         system = self.builder.system(E)
         ev = min_tension(system.A_w, system.B, eps=self.eps, energy=E)
         return replace(ev, t_classical=classical_tension(ev.alpha, system.A_nor,
-                                                         system.B))
+                                                         system.B),
+                       rank_H=system.rank_H)
 
     def classical(self, E, alpha):
         """Classical (unweighted) tension of the coefficients alpha at E."""
@@ -178,10 +192,11 @@ def sweep(curve, M, N, tau, sqrtE_min, sqrtE_max, steps, eps=1e-14):
         try:
             ev = solver.evaluate(f * f)
             out.append(SweepSample(sqrtE=float(f), t_min=ev.t_min,
-                                   rank_eps=ev.rank_eps, c_min=ev.c_min))
+                                   rank_eps=ev.rank_eps, c_min=ev.c_min,
+                                   rank_H=ev.rank_H))
         except NeuspecError as exc:
             out.append(SweepSample(sqrtE=float(f), t_min=float("nan"),
-                                   rank_eps=0, c_min=float("nan"),
+                                   rank_eps=0, c_min=float("nan"), rank_H=0,
                                    error=str(exc)))
     return out
 
@@ -326,8 +341,7 @@ def weyl_index(curve, E):
 
 def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
                      eps_H=1e-12, budget=60, c_est=C_EST_DEFAULT,
-                     c_ennenbach=C_ENNENBACH_DEFAULT, solver=None,
-                     slope_offset=None, coarse=0):
+                     c_ennenbach=C_ENNENBACH_DEFAULT, solver=None, coarse=0):
     """Locate one tension minimum inside a frequency bracket and certify it.
 
     ``bracket`` is (sqrtE_lo, sqrtE_hi).  With ``coarse >= 3`` it is first
@@ -341,12 +355,12 @@ def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
     exactly one local minimum (use a sweep to isolate one).  Presolve samples
     whose evaluation fails are skipped and listed in ``presolve_failures``;
     if all fail, a ``NumericalError`` is raised.  The search runs in energy E
-    with the parabola fit applied to t^2.  After convergence the slope of t vs E
-    is measured from two flanking samples, and the inclusion bounds are
-    attached.  The bounds use the computed minimum tension rounded up by the
-    empirical allowance ``T_ROUNDING_ULPS * u * E`` for its rounding error, so
-    that the returned ``t_min`` bounds the exact tension and ``eps_new`` keeps
-    the form ``c_est * t_min``.  If the evaluation budget runs out, or the
+    with the parabola fit applied to t^2.  The slope of t vs E is the secant
+    from the minimum to the refinement sample nearest it, and the inclusion
+    bounds are attached.  The bounds use the computed minimum tension rounded
+    up by the empirical allowance ``T_ROUNDING_ULPS * u * E`` for its rounding
+    error, so that the returned ``t_min`` bounds the exact tension and
+    ``eps_new`` keeps the form ``c_est * t_min``.  If the evaluation budget runs out, or the
     minimum lands on a bracket end (the tension falls toward it, so the dip
     may lie outside), the best iterate is still returned, marked
     ``converged=False``.
@@ -392,7 +406,10 @@ def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
         best = min(max(int(np.argmin(ts)), 1), coarse - 2)
         E_lo, E_hi = fs[best - 1] ** 2, fs[best + 1] ** 2
 
+    refined = []  # the search's own samples, bracket ends included
+
     def tension_sq(E):
+        refined.append(E)
         if E not in evals:
             evals[E] = solver.evaluate(E)
         return evals[E].t_min ** 2
@@ -406,12 +423,10 @@ def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
         E_star, _, n_evals = exc.best
         converged = False
     best = evals[E_star]
-
-    dE = slope_offset if slope_offset is not None else 10.0 * max(tol, 1e-13) * E_star
-    # flanking samples for the slope; kept well above the tension floor
-    t_plus = solver.evaluate(E_star + dE).t_min
-    t_minus = solver.evaluate(E_star - dE).t_min
-    slope = (t_plus + t_minus - 2.0 * best.t_min) / (2.0 * dE)
+    # the secant to the nearest of the search's own samples (module docstring)
+    E_n = min((E for E in refined if E != E_star),
+              key=lambda E: abs(E - E_star))
+    slope = (evals[E_n].t_min - best.t_min) / abs(E_n - E_star)
 
     t_bound = best.t_min + T_ROUNDING_ULPS * _UNIT_ROUNDOFF * E_star
     eps_new, eps_clas = inclusion_bounds(E_star, t_bound, best.t_classical,

@@ -58,6 +58,25 @@ At tau = 0.03 (fallback) both paths gave t_min = 0.00606052 to 6 digits.
 On the unit disc at M=256, N=128, tau=0.1, at nine energies with sqrtE in
 [27.708, 27.748], the estimates read 1.2e14 to 2.8e14, 21 to 26 times the
 true 5.5e12 to 1.1e13, so those stacks take the fallback.
+
+Only the row space of Q_B carries singular values below 1.  Since
+Q_A^T Q_A + Q_B^T Q_B = I (the CS decomposition; Paige & Saunders, SIAM J.
+Numer. Anal. 18, 1981), a unit vector orthogonal to the rows of Q_B has
+||Q_A b|| = 1, so exactly rank_eps - rank(Q_B) singular values of Q_A equal 1
+and neither c_min nor c[-2] can come from them.  ``min_tension`` therefore
+takes W, an orthonormal basis of the row space of Q_B from the QR of Q_B^T,
+and the SVD of the N x rank_H block Q_A W (B has rank_H rows) instead of the
+N x N SVD of Q_A; the minimizer maps back through W.  The SVD is taken of the
+triangular factor of Q_A W, which has the same singular values and right
+vectors, so no left singular vectors are formed.  The stack's basis, and with
+it the backward error eps ||Q_A||, is unchanged.  On the three-lobe domain
+above Q_A has 177 of its 350 singular values equal to 1 at M=700 (rank_H =
+173) and 369 of 700 at M=1400 (rank_H = 331).  With two threads
+``min_tension`` took 49-52 ms against 54-60 ms with the SVD of Q_A at M=700,
+183-190 against 275-288 ms at M=1400 and 0.97-1.04 against 1.51-1.65 s at
+M=2800 (N=1400, rank_H = 635); on a random orthonormal Q_A, Q_B with N=2500
+and rank_H=1180 (criterion 10's size) the SVD step took 1.4-1.7 s against
+5.2-5.6 s.
 """
 
 from dataclasses import dataclass
@@ -79,8 +98,10 @@ class TensionEval:
     arbitrary member of the minimizing subspace; ``t_second``, the
     second-smallest tension, is then small too.  It is inf when the trial
     space has fewer than two directions or the second has no interior mass.
-    ``t_classical`` is the classical tension of alpha; ``min_tension`` sees
-    no A_nor and leaves it nan, ``TensionSolver.evaluate`` fills it in.
+    ``t_classical`` is the classical tension of alpha and ``rank_H`` the
+    kept rank of the interior-norm form H (the rows of B); ``min_tension``
+    sees neither A_nor nor H and leaves them nan and 0,
+    ``TensionSolver.evaluate`` fills them in.
     """
 
     E: float
@@ -90,18 +111,21 @@ class TensionEval:
     c_min: float
     t_second: float
     t_classical: float = float("nan")
+    rank_H: int = 0
 
 
 def _basis_rows(S, rows, eps):
-    """(Q_A, to_alpha, rank): the first ``rows`` rows of an orthonormal basis
-    of the kept column space of the stack S, the map from coordinates in that
-    basis to coefficient vectors, and the kept rank.  S = Q R2 by Householder
-    QR; when R2 is too ill-conditioned for the QR path, the truncated SVD of
-    R2 = Ur diag(sig) Wt is that of S, with left factor Q Ur."""
+    """(Q_A, Q_B, to_alpha, rank): the first ``rows`` rows and the remaining
+    rows of an orthonormal basis of the kept column space of the stack S, the
+    map from coordinates in that basis to coefficient vectors, and the kept
+    rank.  S = Q R2 by Householder QR; when R2 is too ill-conditioned for the
+    QR path, the truncated SVD of R2 = Ur diag(sig) Wt is that of S, with
+    left factor Q Ur."""
     Q, R2 = np.linalg.qr(S)
     rcond, _ = dtrcon(R2)
     if rcond * QR_COND_LIMIT > eps:
-        return Q[:rows], lambda beta: solve_triangular(R2, beta), S.shape[1]
+        return (Q[:rows], Q[rows:], lambda beta: solve_triangular(R2, beta),
+                S.shape[1])
     Ur, sig, Wt = np.linalg.svd(R2)
     if sig[0] == 0.0:
         raise RankCollapseError("stacked matrix is identically zero")
@@ -110,7 +134,9 @@ def _basis_rows(S, rows, eps):
         raise RankCollapseError("numerical rank zero at the requested cutoff")
     sig = sig[:r_eps]
     Wt = Wt[:r_eps]
-    return Q[:rows] @ Ur[:, :r_eps], lambda beta: Wt.T @ (beta / sig), r_eps
+    Ur = Ur[:, :r_eps]
+    return (Q[:rows] @ Ur, Q[rows:] @ Ur, lambda beta: Wt.T @ (beta / sig),
+            r_eps)
 
 
 def min_tension(A_w, B, eps=1e-14, energy=float("nan")):
@@ -131,10 +157,17 @@ def min_tension(A_w, B, eps=1e-14, energy=float("nan")):
     if R.shape[0] < R.shape[1]:
         # fewer rows than columns: pad so that Q_A below stays tall
         R = np.vstack([R, np.zeros((R.shape[1] - R.shape[0], R.shape[1]))])
-    Q_A, to_alpha, r_eps = _basis_rows(np.vstack([R, B]), R.shape[0], eps)
-    # r_eps <= N = rows of R, so Q_A is tall: its smallest singular value is c[-1]
-    _, c, Vt = np.linalg.svd(Q_A, full_matrices=False)
-    c_min = float(c[-1])
+    Q_A, Q_B, to_alpha, r_eps = _basis_rows(np.vstack([R, B]), R.shape[0],
+                                            eps)
+    # every direction outside the row space of Q_B has c = 1 exactly, so the
+    # two smallest singular values of Q_A are those of Q_A W.  W has at most
+    # r_eps <= N = rows of R columns, so Q_A W is tall; its singular values
+    # and right vectors are those of its triangular factor, and c[-1] is the
+    # smallest
+    W, _ = np.linalg.qr(Q_B.T)
+    _, c, Vt = np.linalg.svd(np.linalg.qr(Q_A @ W, mode="r"))
+    # no rows in B leave no singular value below 1
+    c_min = float(c[-1]) if len(c) else 1.0
     if c_min >= 1.0 - 1e-14:
         raise NoInteriorMassError(
             "trial space numerically annihilated by the interior-norm factor"
@@ -142,7 +175,7 @@ def min_tension(A_w, B, eps=1e-14, energy=float("nan")):
     t_min = c_min / np.sqrt(1.0 - c_min * c_min)
     c_2 = float(c[-2]) if len(c) > 1 else 1.0
     t_second = c_2 / np.sqrt(1.0 - c_2 * c_2) if c_2 < 1.0 else float("inf")
-    alpha = to_alpha(Vt[-1])
+    alpha = to_alpha(W @ Vt[-1])
     bnorm = np.linalg.norm(B @ alpha)
     if bnorm == 0.0:
         raise NoInteriorMassError("minimizer has zero interior norm")

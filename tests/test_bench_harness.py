@@ -3,6 +3,7 @@ attribute lookup.  These tests fail when a change to the package drops or
 renames one of them, which would otherwise show only when
 ``bench/run.py --trace 1`` runs."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -42,6 +43,17 @@ def test_install_trace_solve_restore(tmp_path):
     assert names.count("tension.classical_tension") == names.count("search.evaluate")
     assert tracer.counts["search.evals.total"] == names.count("search.evaluate")
     assert tracer.counts["search.evals.reassembly"] == 0
+    # every evaluation of a solve is a presolve or a refinement sample: the
+    # slope reuses a refinement sample, and a lost ``parabolic_min`` span
+    # would move the refinement samples into the presolve count
+    doc = json.loads((tmp_path / "solve.json").read_text())
+    assert tracer.counts["search.evals.slope"] == 0
+    assert tracer.counts["search.evals.presolve"] == doc["n_presolve"]
+    # the search takes its two bracket ends from the presolve
+    assert tracer.counts["search.evals.refine"] == doc["n_evals"] - 2
+    assert (tracer.counts["search.evals.presolve"]
+            + tracer.counts["search.evals.refine"]
+            == tracer.counts["search.evals.total"] == doc["n_evals_total"])
     # bench/run.py takes the median of every sample list and fails on an
     # empty one; the filter's byte samples come from its wrapped name
     assert all(tracer.samples[name] for name in SAMPLE_NAMES)

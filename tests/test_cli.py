@@ -60,6 +60,18 @@ class TestSweepCommand:
             assert float(r["tension_min"]) >= 0
             assert int(r["rank_eps"]) > 0
 
+    def test_header_and_rank_h_column(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        rc = run(["sweep", "--curve", DISC, "--fmin", "3.0", "--fmax", "3.6",
+                  "--steps", "4", "--M", "64", "--N", "32", "--tau", "0.1",
+                  "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "sqrtE,tension_min,rank_eps,c_min,rank_H"
+        for r in csv.DictReader(lines):
+            # B has rank_H rows, at most one per basis function
+            assert 0 < int(r["rank_H"]) <= 32
+
     def test_single_step_usage_error(self, tmp_path):
         rc = run(["sweep", "--curve", DISC, "--fmin", "3", "--fmax", "4",
                   "--steps", "1", "--M", "64", "--N", "32", "--tau", "0.1",
@@ -95,8 +107,8 @@ class TestSolveCommand:
         assert doc["eps_new_rel"] == pytest.approx(doc["eps_new"] / doc["E"], rel=1e-12)
         assert doc["n_evals"] >= 3
         assert 3 <= doc["n_presolve"] <= 5
-        # two samples shared by presolve and search, two slope samples
-        assert doc["n_evals_total"] == doc["n_presolve"] + doc["n_evals"]
+        # two samples shared by presolve and search; the slope costs none
+        assert doc["n_evals_total"] == doc["n_presolve"] + doc["n_evals"] - 2
         assert doc["M"] == 256 and doc["N"] == 128
         assert doc["t_second"] < 1e-10  # j'_{30,1} is a double eigenvalue
         # 17-significant-digit round trip: rewriting the parsed numbers

@@ -5,6 +5,7 @@ from scipy import linalg
 from neuspec import (TensionSolver, classical_tension, jnprime_zero,
                      min_tension, tension_of)
 from neuspec.errors import NoInteriorMassError, RankCollapseError
+from neuspec.tension import _basis_rows
 
 
 def gen_eig_oracle(A, B):
@@ -73,6 +74,11 @@ class TestMinTension:
         B = np.zeros((2, 3))
         with pytest.raises(NoInteriorMassError):
             min_tension(A, B)
+
+    def test_empty_interior_factor(self, rng):
+        # B without rows: no direction has interior mass
+        with pytest.raises(NoInteriorMassError):
+            min_tension(rng.standard_normal((6, 3)), np.zeros((0, 3)))
 
     def test_fewer_rows_than_columns(self, rng):
         # A has a null space that B does not: the minimum tension is zero,
@@ -203,3 +209,74 @@ class TestSecondTension:
             assert ev.t_second < 1e-10
         else:
             assert ev.t_second > 1e-6
+
+
+def shared_null_pair(rng, m=30, n=12, rows_B=5, null=0):
+    """A (m x n) and B (rows_B x n, rows_B < n) with generic singular values
+    that annihilate the same ``null`` directions: with ``null = 0`` the stack
+    is well conditioned (QR path), with ``null > 0`` it has numerical rank
+    n - null and takes the truncated-SVD fallback."""
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V = V[:, : n - null]
+    A = rng.standard_normal((m, n - null)) @ V.T
+    B = rng.standard_normal((rows_B, n - null)) @ V.T
+    return A, B
+
+
+def full_basis_tensions(A, B, eps=1e-14):
+    """(t_min, c_min, t_second, c) from the full SVD of the same Q_A that
+    ``min_tension`` builds, without restricting it to the row space of Q_B."""
+    R = np.linalg.qr(A, mode="r")
+    R = np.vstack([R, np.zeros((A.shape[1] - R.shape[0], A.shape[1]))])
+    Q_A, _, _, _ = _basis_rows(np.vstack([R, B]), R.shape[0], eps)
+    c = np.linalg.svd(Q_A, compute_uv=False)
+    t_min, t_second = c[[-1, -2]] / np.sqrt(1.0 - c[[-1, -2]] ** 2)
+    return t_min, c[-1], t_second, c
+
+
+class TestRowSpaceReduction:
+    """``min_tension`` takes the SVD of Q_A W, W an orthonormal basis of the
+    row space of Q_B, instead of the SVD of Q_A."""
+
+    # (null directions, kept rank): the QR path and the fallback
+    PATHS = [(0, 12), (3, 9)]
+
+    @pytest.mark.parametrize("make_pair, r_eps", [
+        (lambda rng: shared_null_pair(rng), 12),
+        (lambda rng: shared_null_pair(rng, null=3), 9),
+        # B with at least N rows: W is square
+        (well_conditioned_pair, 8)], ids=["qr", "fallback", "square-W"])
+    def test_matches_full_basis_svd(self, rng, make_pair, r_eps):
+        for _ in range(10):
+            A, B = make_pair(rng)
+            res = min_tension(A, B)
+            t_ref, c_ref, t2_ref, _ = full_basis_tensions(A, B)
+            assert res.rank_eps == r_eps
+            assert res.t_min == pytest.approx(t_ref, rel=1e-12, abs=1e-12)
+            assert res.c_min == pytest.approx(c_ref, rel=1e-12, abs=1e-12)
+            assert res.t_second == pytest.approx(t2_ref, rel=1e-12, abs=1e-12)
+            assert tension_of(res.alpha, A, B) == pytest.approx(res.t_min,
+                                                                rel=1e-10)
+
+    @pytest.mark.parametrize("null, r_eps", PATHS)
+    def test_unit_values_outside_row_space(self, rng, null, r_eps):
+        # the premise: Q_A^T Q_A + Q_B^T Q_B = I, so r_eps - rank(B) singular
+        # values of Q_A are 1
+        A, B = shared_null_pair(rng, null=null)
+        _, _, _, c = full_basis_tensions(A, B)
+        assert len(c) == r_eps
+        assert (np.abs(c - 1.0) <= 1e-14).sum() == r_eps - B.shape[0]
+
+    def test_svd_of_reduced_block(self, rng, monkeypatch):
+        A, B = shared_null_pair(rng)
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kw):
+            shapes.append(a.shape)
+            return svd(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        min_tension(A, B)
+        # the triangular factor of Q_A W, square of the rank of B
+        assert shapes == [(B.shape[0], B.shape[0])]
