@@ -29,8 +29,8 @@ _EXPORTS = {
                 "jnprime_zero", "jnprime_zeros", "jnprime_zeros_upto"),
     "tension": ("TensionEval", "classical_tension", "min_tension",
                 "tension_of"),
-    "weights": ("FilterSpec", "LowRankFilter", "build_filter_matrix",
-                "f_weight", "g_weight"),
+    "weights": ("LowRankFilter", "build_filter_matrix", "f_weight",
+                "g_weight"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -20,7 +20,8 @@ gradient in the cross term this is the form that matches independent 2-D
 quadrature; the terms differing from the commonly quoted
 "+ (d_n u)^2" variant cancel on Neumann data, which is why both look right
 near eigenvalues.)  The quadratic form is H; its truncated eigendecomposition
-provides the square-root factor B with B^T B ~= H.  The form is used only on
+provides the square-root factor B with B^T B ~= H, keeping the eigenpairs
+with lambda_j >= EPS_H * lambda_1 (EPS_H = 1e-12).  The form is used only on
 domains star-shaped about the origin, where the boundary weight x.n is
 positive (true of every ``RadialCurve``); ``interior_norm_matrix`` checks it
 at every node.
@@ -35,6 +36,8 @@ from .errors import (DegenerateNormError, InvalidCurveError,
 from .geometry import build_grid, charge_points
 from .special import bessel_y0, bessel_y1
 from .weights import build_filter_matrix
+
+EPS_H = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,10 @@ def interior_norm_matrix(grid, A_val, A_nor, A_tan, A_dil, E):
     return 0.5 * (H + H.T)
 
 
-def sqrt_factor(H, eps_H=1e-12):
+def sqrt_factor(H):
     """Truncated square root of a symmetric matrix.
 
-    Eigenpairs with lambda_j < eps_H * lambda_1 are dropped (H is formally
+    Eigenpairs with lambda_j < EPS_H * lambda_1 are dropped (H is formally
     positive but assembled in floating point); returns (B, rank) with
     B = sqrt(Lambda) V^T on the kept pairs, so B^T B ~= H.
     """
@@ -78,21 +81,23 @@ def sqrt_factor(H, eps_H=1e-12):
     V = V[:, ::-1]
     if lam[0] <= 0:
         raise DegenerateNormError("interior-norm matrix has no positive eigenvalue")
-    keep = lam >= eps_H * lam[0]
+    keep = lam >= EPS_H * lam[0]
     B = np.sqrt(lam[keep])[:, None] * V[:, keep].T
     return B, int(keep.sum())
 
 
-def point_source_sum(charges, alpha, E, points, block=65536):
+def point_source_sum(charges, alpha, E, points):
     """u(p) = sum_n alpha_n Y0(sqrt(E) |p - y_n|) at interior points.
 
-    Direct summation, blocked to bound memory; points must keep a positive
-    distance from every charge (interior points always do)."""
+    Direct summation in blocks of about 65536 kernel values to bound memory;
+    points must keep a positive distance from every charge (interior points
+    always do)."""
     k = np.sqrt(E)
     points = np.asarray(points, dtype=float)
     out = np.empty(len(points))
-    for lo in range(0, len(points), max(1, block // max(charges.N, 1))):
-        hi = min(lo + max(1, block // max(charges.N, 1)), len(points))
+    step = max(1, 65536 // max(charges.N, 1))
+    for lo in range(0, len(points), step):
+        hi = min(lo + step, len(points))
         dx = points[lo:hi, None, :] - charges.y[None, :, :]
         dist = np.sqrt(np.einsum("pnd,pnd->pn", dx, dx))
         out[lo:hi] = bessel_y0(k * dist) @ alpha
@@ -104,14 +109,13 @@ class SystemBuilder:
     many energies (a sweep, a minimum search) costs only the Bessel
     evaluations, the filter product, and the dense linear algebra."""
 
-    def __init__(self, curve, M, N, tau, eps_H=1e-12):
+    def __init__(self, curve, M, N, tau):
         if M % 4:
             raise ValueError("M must be divisible by 4")
         if N > M:
             raise ValueError("N must not exceed M")
         self.grid = build_grid(curve, M)
         self.charges = charge_points(curve, N, tau)
-        self.eps_H = eps_H
         dx = self.grid.x[:, None, :] - self.charges.y[None, :, :]
         self._dist = np.sqrt(np.einsum("mnd,mnd->mn", dx, dx))
         if self._dist.min() < 1e-12:
@@ -145,5 +149,5 @@ class SystemBuilder:
         A_val, A_nor, A_tan, A_dil = self.traces(E)
         A_w = build_filter_matrix(self.grid, 1.0 / np.sqrt(E)) @ A_nor
         H = interior_norm_matrix(self.grid, A_val, A_nor, A_tan, A_dil, E)
-        B, rank_H = sqrt_factor(H, self.eps_H)
+        B, rank_H = sqrt_factor(H)
         return TensionSystem(A_w=A_w, A_nor=A_nor, B=B, rank_H=rank_H)

@@ -115,30 +115,41 @@ def _load_config(path):
     return cfg
 
 
-def _resolve(args, schema):
-    """Merge CLI values (always win), then config file, then defaults."""
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-    out = {}
-    for name, (typ, default) in schema.items():
-        val = getattr(args, name, None)
-        if val is None and name in cfg:
-            try:
-                val = typ(cfg[name])
-            except ValueError as exc:
-                raise UsageError(f"config value for {name!r}: {exc}") from exc
-        if val is None:
-            val = default
-        if val is None:
+def _parse(ap, argv):
+    """Parse ``argv``; with ``--config``, parse again with the file's
+    ``key=value`` lines as flags of the command placed before the given
+    ones, so the parser converts them and a given flag, parsed later, wins.
+    Options set by neither keep the parser's default, None except for
+    ``--coarse``, and an option left None takes the library's default."""
+    args = ap.parse_args(argv)
+    if not args.config:
+        return args
+    options = vars(args).keys() - {"command", "config", "threads"}
+    pre = [f"--{key}={val}" for key, val in _load_config(args.config).items()
+           if key in options]
+    return ap.parse_args([argv[0], *pre, *argv[1:]])
+
+
+def _require(args, *names):
+    """Usage error for the first of ``names`` that no flag or config line
+    set."""
+    for name in names:
+        if getattr(args, name) is None:
             raise UsageError(f"missing required option --{name}")
-        out[name] = val
-    return out
 
 
-def _add_common(p, with_out=True):
+def _given(args, **options):
+    """Keyword arguments for the library from the options that are set,
+    ``options`` naming the option behind each parameter; the library's own
+    default applies to the others."""
+    return {param: getattr(args, opt) for param, opt in options.items()
+            if getattr(args, opt) is not None}
+
+
+def _add_common(p):
     p.add_argument("--config", help="key=value file pre-populating flags (flags win)")
     p.add_argument("--threads", type=int, help="pin BLAS thread count")
-    if with_out:
-        p.add_argument("--out", help="output path")
+    p.add_argument("--out", help="output path")
 
 
 def build_parser():
@@ -170,7 +181,7 @@ def build_parser():
     p.add_argument("--eps", type=float)
     p.add_argument("--cest", type=float)
     p.add_argument("--cenn", type=float)
-    p.add_argument("--coarse", type=int,
+    p.add_argument("--coarse", type=int, default=21,
                    help="presolve scan samples across the bracket")
     _add_common(p)
 
@@ -192,21 +203,16 @@ def build_parser():
 
 
 def cmd_sweep(args):
-    schema = {
-        "curve": (str, None), "fmin": (float, None), "fmax": (float, None),
-        "steps": (int, None), "M": (int, None), "N": (int, None),
-        "tau": (float, None), "eps": (float, 1e-14), "out": (str, None),
-    }
-    opt = _resolve(args, schema)
-    if opt["steps"] < 2:
+    _require(args, "curve", "fmin", "fmax", "steps", "M", "N", "tau", "out")
+    if args.steps < 2:
         raise UsageError("--steps must be >= 2")
-    if not 0 < opt["fmin"] < opt["fmax"]:
+    if not 0 < args.fmin < args.fmax:
         raise UsageError("need 0 < fmin < fmax")
-    curve = parse_curve(opt["curve"])
+    curve = parse_curve(args.curve)
     from .search import sweep
 
-    samples = sweep(curve, opt["M"], opt["N"], opt["tau"],
-                    opt["fmin"], opt["fmax"], opt["steps"], eps=opt["eps"])
+    samples = sweep(curve, args.M, args.N, args.tau, args.fmin, args.fmax,
+                    args.steps, **_given(args, eps="eps"))
     bad = [s for s in samples if not s.ok]
     for s in bad:
         print(f"sweep: evaluation failed at sqrtE={_fmt(s.sqrtE)}: {s.error}",
@@ -219,32 +225,25 @@ def cmd_sweep(args):
         if s.ok:
             lines.append(f"{_fmt(s.sqrtE)},{_fmt(s.t_min)},{s.rank_eps},"
                          f"{_fmt(s.c_min)},{s.rank_H}")
-    with open(opt["out"], "w", newline="") as fh:
+    with open(args.out, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_solve(args):
-    schema = {
-        "curve": (str, None), "f0": (float, None), "f1": (float, None),
-        "M": (int, None), "N": (int, None), "tau": (float, None),
-        "tol": (float, 1e-13), "eps": (float, 1e-14),
-        "cest": (float, 1.6), "cenn": (float, 7.4),
-        "coarse": (int, 21), "out": (str, None),
-    }
-    opt = _resolve(args, schema)
-    if not 0 < opt["f0"] < opt["f1"]:
+    _require(args, "curve", "f0", "f1", "M", "N", "tau", "out")
+    if not 0 < args.f0 < args.f1:
         raise UsageError("need 0 < f0 < f1")
-    curve = parse_curve(opt["curve"])
+    curve = parse_curve(args.curve)
     from .errors import NeuspecError
     from .search import localize_minimum
 
     t_start = time.perf_counter()
     try:
-        res = localize_minimum(curve, opt["M"], opt["N"], opt["tau"],
-                               (opt["f0"], opt["f1"]), tol=opt["tol"],
-                               eps=opt["eps"], c_est=opt["cest"],
-                               c_ennenbach=opt["cenn"], coarse=opt["coarse"])
+        res = localize_minimum(curve, args.M, args.N, args.tau,
+                               (args.f0, args.f1), coarse=args.coarse,
+                               **_given(args, tol="tol", eps="eps",
+                                        c_est="cest", c_ennenbach="cenn"))
     except NeuspecError as exc:
         print(f"solve: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -274,66 +273,60 @@ def cmd_solve(args):
         ("t_second", _fmt(res.t_second) if res.t_second < float("inf")
          else "null"),
         ("weyl_index", _fmt(res.weyl_index)),
-        ("M", str(opt["M"])),
-        ("N", str(opt["N"])),
-        ("tau", _fmt(opt["tau"])),
+        ("M", str(args.M)),
+        ("N", str(args.N)),
+        ("tau", _fmt(args.tau)),
         ("wall_seconds", _fmt(wall)),
         ("converged", "true" if res.converged else "false"),
     ]
     body = ",\n".join(f'  "{k}": {v}' for k, v in doc)
-    with open(opt["out"], "w") as fh:
+    with open(args.out, "w") as fh:
         fh.write("{\n" + body + "\n}\n")
     return status
 
 
 def cmd_mode(args):
-    schema = {
-        "curve": (str, None), "freq": (float, None), "M": (int, None),
-        "N": (int, None), "tau": (float, None), "nx": (int, None),
-        "eps": (float, 1e-14), "out": (str, None),
-    }
-    opt = _resolve(args, schema)
-    if opt["nx"] < 2:
+    _require(args, "curve", "freq", "M", "N", "tau", "nx", "out")
+    if args.nx < 2:
         raise UsageError("--nx must be >= 2")
-    if not opt["freq"] > 0:
+    if not args.freq > 0:
         raise UsageError("--freq must be positive")
-    curve = parse_curve(opt["curve"])
+    curve = parse_curve(args.curve)
     from .assembly import point_source_sum
     from .errors import NeuspecError
     from .geometry import interior_grid
     from .search import TensionSolver
 
     try:
-        solver = TensionSolver(curve, opt["M"], opt["N"], opt["tau"], eps=opt["eps"])
-        ev = solver.evaluate(opt["freq"] ** 2)
-        grid = interior_grid(curve, opt["nx"])
+        solver = TensionSolver(curve, args.M, args.N, args.tau,
+                               **_given(args, eps="eps"))
+        ev = solver.evaluate(args.freq ** 2)
+        grid = interior_grid(curve, args.nx)
         pts = grid.points
         vals = point_source_sum(solver.builder.charges, ev.alpha,
-                                opt["freq"] ** 2, pts)
+                                args.freq ** 2, pts)
     except NeuspecError as exc:
         print(f"mode: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     lines = ["ix,iy,x,y,u"]
     for (ix, iy), (px, py), u in zip(grid.indices, pts, vals):
         lines.append(f"{ix},{iy},{_fmt(px)},{_fmt(py)},{_fmt(u)}")
-    with open(opt["out"], "w", newline="") as fh:
+    with open(args.out, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_disc_check(args):
-    schema = {"nmax": (int, 60), "lmax": (int, 5), "out": (str, "")}
-    opt = _resolve(args, schema)
     from .disc import identity_checks
 
-    rows = identity_checks(opt["nmax"], opt["lmax"])
+    rows = identity_checks(**_given(args, nmax="nmax", lmax="lmax"))
     failures = sum(not row[-1] for row in rows)
-    if opt["out"]:
+    if args.out:
         lines = ["check,n,l,parity,value,expected,rel_err,pass"]
         for kind, n, l, parity, val, exp, err, ok in rows:
             lines.append(f"{kind},{n},{l},{parity},{_fmt(val)},{_fmt(exp)},"
                          f"{_fmt(err)},{int(ok)}")
-        with open(opt["out"], "w", newline="") as fh:
+        with open(args.out, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
     n_checks = len(rows)
     if failures:
@@ -352,22 +345,18 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(argv)
+        args = _parse(build_parser(), argv)
+        if args.threads:
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+                os.environ[var] = str(args.threads)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    if getattr(args, "threads", None):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-    try:
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+    except (UsageError, OSError) as exc:
+        print(f"{argv[0]}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

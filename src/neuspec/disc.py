@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (DomainError, IdentityViolationError,
                      IncompleteEnumerationError, NeuspecError)
-from .special import (bessel_jn, bessel_jn_prime, jnprime_zeros,
+from .special import (_N_MAX, bessel_jn, bessel_jn_prime, jnprime_zeros,
                       jnprime_zeros_upto)
 from .weights import g_weight
 
@@ -44,12 +44,12 @@ class DiscMode:
         return 1.0 / self.mu
 
 
-def disc_modes_in_window(freq_lo, freq_hi, n_cap=200):
+def disc_modes_in_window(freq_lo, freq_hi):
     """All disc modes with eigenfrequency in [freq_lo, freq_hi].
 
     Both parities for n >= 1, one for n = 0.  Raises if the angular-order cap
-    is reached while orders could still contribute (mu_{n,1} > n, so orders
-    above freq_hi cannot)."""
+    of the zero solver (n <= 200) is reached while orders could still
+    contribute (mu_{n,1} > n, so orders above freq_hi cannot)."""
     if not 0 < freq_lo < freq_hi:
         raise DomainError("need 0 < freq_lo < freq_hi")
     modes = []
@@ -57,9 +57,9 @@ def disc_modes_in_window(freq_lo, freq_hi, n_cap=200):
     while True:
         if n >= 1 and n >= freq_hi:
             break  # first zero exceeds n, hence the window
-        if n > n_cap:
+        if n > _N_MAX:
             raise IncompleteEnumerationError(
-                f"order cap {n_cap} reached with window [{freq_lo}, {freq_hi}] unfinished"
+                f"order cap {_N_MAX} reached with window [{freq_lo}, {freq_hi}] unfinished"
             )
         zeros = jnprime_zeros_upto(n, freq_hi)
         for l, mu in enumerate(zeros, start=1):
@@ -122,9 +122,9 @@ def weighted_ratio(mode):
     return float(g_weight(sigma, h) * boundary_ratio(mode))
 
 
-def quasi_orth_gram_norm(freq_center, window_halfwidth=1.0, M=1024):
+def quasi_orth_gram_norm(freq_center, M=1024):
     """Operator norm of the frame of weighted boundary traces of all
-    L2-normalized disc modes in a unit frequency window.
+    L2-normalized disc modes in the frequency window freq_center +- 1.
 
     Traces are sampled on an M-point circle grid; on the circle the weight
     acts exactly by the scalar g_weight(1 - h^2 n^2) per angular order, so no
@@ -135,8 +135,7 @@ def quasi_orth_gram_norm(freq_center, window_halfwidth=1.0, M=1024):
     if freq_center < 5:
         raise DomainError("freq_center must be >= 5")
     h = 1.0 / freq_center
-    modes = disc_modes_in_window(freq_center - window_halfwidth,
-                                 freq_center + window_halfwidth)
+    modes = disc_modes_in_window(freq_center - 1.0, freq_center + 1.0)
     n_high = max(m.n for m in modes)
     if M < 4 * (n_high + 1):
         raise DomainError(f"M={M} below Nyquist for angular order {n_high}")

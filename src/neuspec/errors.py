@@ -37,10 +37,6 @@ class SingularKernelError(NeuspecError):
     """A boundary node and a charge point (nearly) coincide."""
 
 
-class FilterAssemblyError(NeuspecError):
-    """Spectral filter came out asymmetric or with a large imaginary part."""
-
-
 class DegenerateNormError(NeuspecError):
     """Interior-norm matrix has no positive eigenvalue: the trial basis lies
     entirely in its numerical kernel."""

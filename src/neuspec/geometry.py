@@ -131,9 +131,7 @@ class BoundaryGrid:
     """
 
     M: int
-    t: np.ndarray
     x: np.ndarray        # (M, 2) node coordinates
-    speed: np.ndarray    # |x'(t_m)|
     w: np.ndarray        # quadrature weights (length units)
     nrm: np.ndarray      # (M, 2) outward unit normals
     tng: np.ndarray      # (M, 2) unit tangents, counterclockwise
@@ -147,7 +145,6 @@ class ChargeSet:
     boundary parametrization."""
 
     N: int
-    tau: float
     y: np.ndarray        # (N, 2), all strictly exterior
 
 
@@ -155,7 +152,6 @@ class ChargeSet:
 class InteriorGrid:
     """Rectangular raster over the curve's bounding box, masked to the interior."""
 
-    nx: int
     xs: np.ndarray       # (nx,) grid abscissae
     ys: np.ndarray       # (nx,) grid ordinates
     inside: np.ndarray   # (nx, nx) bool, indexed [iy, ix]
@@ -214,8 +210,8 @@ def build_grid(curve, M):
     nrm_c = -1j * tng_c          # rotate tangent by -pi/2: outward for ccw
     s, L = arclength_spectral(curve, M)
     as_xy = lambda v: np.stack([v.real, v.imag], axis=1)
-    return BoundaryGrid(M=M, t=t, x=as_xy(z), speed=speed, w=w,
-                        nrm=as_xy(nrm_c), tng=as_xy(tng_c), s=s, L=L)
+    return BoundaryGrid(M=M, x=as_xy(z), w=w, nrm=as_xy(nrm_c),
+                        tng=as_xy(tng_c), s=s, L=L)
 
 
 def charge_points(curve, N, tau):
@@ -235,15 +231,15 @@ def charge_points(curve, N, tau):
         # overflow for absurd tau is caught by the finiteness check below
         z = curve.radius(theta) * np.exp(1j * theta)
     y = np.stack([z.real, z.imag], axis=1)
-    for idx in range(N):
-        if contains(curve, y[idx]) or not np.all(np.isfinite(y[idx])):
-            raise ChargePlacementError(idx, tuple(y[idx]))
-        # boundary itself is excluded by the strict inequality in contains();
-        # also reject exact boundary hits
-        ang = np.arctan2(y[idx, 1], y[idx, 0])
-        if np.hypot(*y[idx]) <= curve.radius(ang):
-            raise ChargePlacementError(idx, tuple(y[idx]))
-    return ChargeSet(N=N, tau=float(tau), y=y)
+    with np.errstate(invalid="ignore"):
+        # strictly outside, so a point on the boundary fails too; a nan
+        # point fails the comparison, an infinite one the finiteness test
+        exterior = np.hypot(y[:, 0], y[:, 1]) > curve.radius(
+            np.arctan2(y[:, 1], y[:, 0]))
+    bad = np.flatnonzero(~(exterior & np.isfinite(y).all(axis=1)))
+    if bad.size:
+        raise ChargePlacementError(int(bad[0]), tuple(y[bad[0]]))
+    return ChargeSet(N=N, y=y)
 
 
 def contains(curve, p):
@@ -252,14 +248,14 @@ def contains(curve, p):
     return bool(np.hypot(p[0], p[1]) < curve.radius(np.arctan2(p[1], p[0])))
 
 
-def interior_grid(curve, nx, box_samples=1024):
+def interior_grid(curve, nx):
     """nx-by-nx uniform raster over the boundary's bounding box, masked by
     :func:`contains`.  Boundary nodes are extremal for star-shaped curves, so
-    the box is the min/max of the nodes with no padding."""
+    the box is the min/max of 1024 nodes with no padding."""
     nx = int(nx)
     if nx < 2:
         raise InvalidCurveError("nx must be >= 2")
-    t = 2 * np.pi * np.arange(box_samples) / box_samples
+    t = 2 * np.pi * np.arange(1024) / 1024
     z = curve.position(t)
     xs = np.linspace(z.real.min(), z.real.max(), nx)
     ys = np.linspace(z.imag.min(), z.imag.max(), nx)
@@ -267,12 +263,12 @@ def interior_grid(curve, nx, box_samples=1024):
     rad = np.hypot(X, Y)
     ang = np.arctan2(Y, X)
     inside = rad < curve.radius(ang)
-    return InteriorGrid(nx=nx, xs=xs, ys=ys, inside=inside)
+    return InteriorGrid(xs=xs, ys=ys, inside=inside)
 
 
-def area(curve, samples=2048):
-    """Enclosed area, (1/2) integral of r^2 by the periodic trapezoid rule."""
-    samples = max(int(samples), 2048)
-    th = 2 * np.pi * np.arange(samples) / samples
+def area(curve):
+    """Enclosed area, (1/2) integral of r^2 by the 2048-point periodic
+    trapezoid rule."""
+    th = 2 * np.pi * np.arange(2048) / 2048
     r = curve.radius(th)
     return 0.5 * np.mean(r * r) * 2 * np.pi

@@ -82,8 +82,9 @@ from .assembly import SystemBuilder
 from .errors import (ConvergenceFailureError, IllSeparatedError, NeuspecError,
                      NumericalError)
 from .geometry import area, arclength_spectral
-from .tension import classical_tension, min_tension
+from .tension import EPS_DEFAULT, classical_tension, min_tension
 
+TOL_DEFAULT = 1e-13
 C_EST_DEFAULT = 1.6
 C_ENNENBACH_DEFAULT = 7.4
 T_ROUNDING_ULPS = 10.0
@@ -157,8 +158,8 @@ class TensionSolver:
     evaluation does not depend on the ones before it.
     """
 
-    def __init__(self, curve, M, N, tau, eps=1e-14, eps_H=1e-12):
-        self.builder = SystemBuilder(curve, M, N, tau, eps_H=eps_H)
+    def __init__(self, curve, M, N, tau, eps=EPS_DEFAULT):
+        self.builder = SystemBuilder(curve, M, N, tau)
         self.eps = eps
 
     def evaluate(self, E):
@@ -176,7 +177,7 @@ class TensionSolver:
         return classical_tension(alpha, system.A_nor, system.B)
 
 
-def sweep(curve, M, N, tau, sqrtE_min, sqrtE_max, steps, eps=1e-14):
+def sweep(curve, M, N, tau, sqrtE_min, sqrtE_max, steps, eps=EPS_DEFAULT):
     """Evaluate the minimum tension at ``steps`` equispaced frequencies.
 
     Failures at individual energies are recorded as samples with an error
@@ -243,7 +244,7 @@ def _v_walk(sample, Es, ts):
     return True
 
 
-def parabolic_min(fn, e_lo, e_hi, tol=1e-13, budget=60):
+def parabolic_min(fn, e_lo, e_hi, tol=TOL_DEFAULT, budget=60):
     """Minimize a locally parabolic function on [e_lo, e_hi].
 
     ``fn`` maps an abscissa to the value being minimized (here: t^2 at an
@@ -253,7 +254,9 @@ def parabolic_min(fn, e_lo, e_hi, tol=1e-13, budget=60):
     update the bracket so the middle point stays the running minimum, with a
     golden-section step into the wider flank whenever the fit is non-convex
     or the vertex escapes.  Stops when the vertex update falls below ``tol``
-    times the bracket middle.  Returns (e_best, y_best, n_evals, history).
+    times the bracket middle.  Returns (e_best, y_best, n_evals), the best
+    iterate and the number of evaluations; when ``budget`` evaluations do
+    not suffice, raises ``ConvergenceFailureError`` carrying the same.
     """
     if not e_lo < e_hi:
         raise ValueError("empty bracket")
@@ -266,13 +269,11 @@ def parabolic_min(fn, e_lo, e_hi, tol=1e-13, budget=60):
 
     def finish():
         e_best = min(cache, key=cache.get)
-        return e_best, cache[e_best], len(cache), cache
+        return e_best, cache[e_best], len(cache)
 
     def exhausted():
-        e_best = min(cache, key=cache.get)
         return ConvergenceFailureError(
-            f"evaluation budget {budget} exhausted",
-            best=(e_best, cache[e_best], len(cache)))
+            f"evaluation budget {budget} exhausted", best=finish())
 
     a, b, c = e_lo, 0.5 * (e_lo + e_hi), e_hi
     for e in (a, b, c):
@@ -339,8 +340,8 @@ def weyl_index(curve, E):
     return area(curve) * E / (4 * np.pi) + L * np.sqrt(E) / (4 * np.pi)
 
 
-def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
-                     eps_H=1e-12, budget=60, c_est=C_EST_DEFAULT,
+def localize_minimum(curve, M, N, tau, bracket, tol=TOL_DEFAULT,
+                     eps=EPS_DEFAULT, c_est=C_EST_DEFAULT,
                      c_ennenbach=C_ENNENBACH_DEFAULT, solver=None, coarse=0):
     """Locate one tension minimum inside a frequency bracket and certify it.
 
@@ -369,7 +370,7 @@ def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
     if not 0 < f_lo < f_hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
     if solver is None:
-        solver = TensionSolver(curve, M, N, tau, eps=eps, eps_H=eps_H)
+        solver = TensionSolver(curve, M, N, tau, eps=eps)
     evals = {}
     E_lo, E_hi = f_lo ** 2, f_hi ** 2
     failures = []
@@ -415,8 +416,7 @@ def localize_minimum(curve, M, N, tau, bracket, tol=1e-13, eps=1e-14,
         return evals[E].t_min ** 2
 
     try:
-        E_star, _, n_evals, _ = parabolic_min(tension_sq, E_lo, E_hi,
-                                              tol=tol, budget=budget)
+        E_star, _, n_evals = parabolic_min(tension_sq, E_lo, E_hi, tol=tol)
         # parabolic_min returns a bracket end bit-exactly, so `in` finds it
         converged = E_star not in (E_lo, E_hi)
     except ConvergenceFailureError as exc:

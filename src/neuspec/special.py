@@ -17,6 +17,7 @@ from .errors import DomainError, NumericalError
 _N_MAX = 200
 _X_MAX = 1e4
 _L_MAX = 100
+_SCAN_STEP = 0.25
 
 
 def bessel_y0(x):
@@ -61,17 +62,17 @@ def bessel_jn_prime(n, x):
     return 0.5 * (lower - _sp.jv(n + 1, x))
 
 
-def _scan_brackets(n, x_hi, x_lo=None, step=0.25):
-    """Sign-change brackets of J_n' on (x_lo, x_hi].
+def _scan_brackets(n, x_hi):
+    """Sign-change brackets of J_n' below x_hi.
 
     Zeros of J_n' are separated by more than pi/sqrt(1 - n^2/x^2) > 3, so a
     0.25 step cannot skip a pair.  Starts just above the order (J_n' > 0
     there for n >= 1; for n = 0 the first zero is that of -J_1).
     """
-    start = x_lo if x_lo is not None else (n + 1e-3 if n else 1e-3)
+    start = n + 1e-3 if n else 1e-3
     if x_hi <= start:
         return np.zeros((0, 2))
-    xs = np.arange(start, x_hi + step, step)
+    xs = np.arange(start, x_hi + _SCAN_STEP, _SCAN_STEP)
     vals = bessel_jn_prime(n, xs)
     sign = np.sign(vals)
     # treat exact zeros as positive-side so the bracket survives
@@ -80,8 +81,9 @@ def _scan_brackets(n, x_hi, x_lo=None, step=0.25):
     return np.stack([xs[flips], xs[flips + 1]], axis=1)
 
 
-def _refine_zero(n, lo, hi, rtol=1e-15, max_iter=80):
-    """Newton on J_n' with J_n'' from the recurrence, bisection fallback."""
+def _refine_zero(n, lo, hi):
+    """Newton on J_n' with J_n'' from the recurrence, bisection fallback;
+    stops at a relative step of 1e-15 or after 80 iterations."""
     f = lambda x: float(bessel_jn_prime(n, x))
 
     def fp(x):
@@ -101,7 +103,7 @@ def _refine_zero(n, lo, hi, rtol=1e-15, max_iter=80):
     if flo * fhi > 0:
         raise NumericalError(f"bracket ({lo}, {hi}) does not straddle a zero of J_{n}'")
     x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(80):
         fx = f(x)
         if fx == 0.0:
             return x
@@ -113,10 +115,24 @@ def _refine_zero(n, lo, hi, rtol=1e-15, max_iter=80):
         x_new = x - fx / d if d else 0.5 * (lo + hi)
         if not (lo < x_new < hi):
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= rtol * x:
+        if abs(x_new - x) <= 1e-15 * x:
             return x_new
         x = x_new
     return x
+
+
+def _first_brackets(n, count):
+    """Brackets of the first ``count`` positive zeros of J_n'.  McMahon's
+    asymptotics give a generous upper end for the scan window, widened until
+    the scan holds them."""
+    hi = (count + 0.5 * n + 0.25) * np.pi + 5.0
+    for _ in range(8):
+        br = _scan_brackets(n, hi)
+        if len(br) >= count:
+            return br[:count]
+        hi *= 1.5
+    raise NumericalError(f"failed to bracket {count} zeros of J_{n}' "
+                         f"below {hi:g}")
 
 
 def jnprime_zero(n, l):
@@ -125,15 +141,8 @@ def jnprime_zero(n, l):
     l = int(l)
     if l < 1 or l > _L_MAX:
         raise DomainError(f"zero index must be in [1, {_L_MAX}]")
-    # McMahon gives a generous upper end for the scan window
-    beta = (l + 0.5 * n + 0.25) * np.pi
-    hi = max(beta + 5.0, n + 5.0 * max(1.0, n ** (1.0 / 3)))
-    for _ in range(8):
-        br = _scan_brackets(n, hi)
-        if len(br) >= l:
-            return _refine_zero(n, br[l - 1, 0], br[l - 1, 1])
-        hi *= 1.5
-    raise NumericalError(f"failed to bracket zero {l} of J_{n}' below {hi:g}")
+    lo, hi = _first_brackets(n, l)[-1]
+    return _refine_zero(n, lo, hi)
 
 
 def jnprime_zeros_upto(n, x_hi):
@@ -141,7 +150,7 @@ def jnprime_zeros_upto(n, x_hi):
     n = _check_order(n)
     if x_hi > _X_MAX:
         raise DomainError(f"argument must be <= {_X_MAX:g}")
-    br = _scan_brackets(n, x_hi + 0.25)
+    br = _scan_brackets(n, x_hi + _SCAN_STEP)
     zeros = [_refine_zero(n, lo, hi) for lo, hi in br]
     return np.array([z for z in zeros if z <= x_hi])
 
@@ -152,10 +161,5 @@ def jnprime_zeros(n, count):
     count = int(count)
     if count < 1 or count > _L_MAX:
         raise DomainError(f"count must be in [1, {_L_MAX}]")
-    hi = (count + 0.5 * n + 0.25) * np.pi + 5.0
-    for _ in range(8):
-        br = _scan_brackets(n, hi)
-        if len(br) >= count:
-            return np.array([_refine_zero(n, lo, hi_) for lo, hi_ in br[:count]])
-        hi *= 1.5
-    raise NumericalError(f"failed to bracket {count} zeros of J_{n}'")
+    return np.array([_refine_zero(n, lo, hi)
+                     for lo, hi in _first_brackets(n, count)])

@@ -27,10 +27,11 @@ and 2.1 s against 8.4 s at N = 2500 (two threads).  When the stack is (close to)
 its whole column space would carry directions amplified by 1/sigma_min, so
 the code falls back to the truncated SVD of the stack, taken as the SVD of
 R2 = Ur diag(sig) Wt (the stack's left factor is Q2 Ur): singular values
-below ``eps`` times the largest are dropped, the regularization of Betcke
-(SIAM J. Sci. Comput. 30, 2008), and ``rank_eps`` counts the kept ones.  The
-QR path keeps all N (``rank_eps = N``); it is taken when LAPACK's 1-norm
-condition estimate of R2 (``trcon``) satisfies
+below ``eps`` (``EPS_DEFAULT`` = 1e-14 unless a caller sets it) times the
+largest are dropped, the regularization of Betcke (SIAM J. Sci. Comput. 30,
+2008), and ``rank_eps`` counts the kept ones.  The QR path keeps all N
+(``rank_eps = N``); it is taken when LAPACK's 1-norm condition estimate of
+R2 (``trcon``) satisfies
 
     cond_est(R2) * eps < QR_COND_LIMIT      (QR_COND_LIMIT = 1)
 
@@ -87,6 +88,7 @@ from scipy.linalg.lapack import dtrcon
 
 from .errors import NoInteriorMassError, RankCollapseError
 
+EPS_DEFAULT = 1e-14
 QR_COND_LIMIT = 1.0
 
 
@@ -139,7 +141,7 @@ def _basis_rows(S, rows, eps):
             r_eps)
 
 
-def min_tension(A_w, B, eps=1e-14, energy=float("nan")):
+def min_tension(A_w, B, eps=EPS_DEFAULT, energy=float("nan")):
     """Minimize ||A_w a|| / ||B a|| over coefficient vectors a.
 
     ``eps`` is the relative singular-value cutoff for the stacked matrix; it

@@ -25,16 +25,16 @@ correction's kernel sum_n d_n e^{2 pi i n (s - s')/L} over n = -n_k..n_k is
 real: d_0 + sum_{n>=1} 2 d_n cos(2 pi n (s - s')/L).  It is applied through
 the real basis {1, sqrt2 cos(2 pi n s/L), sqrt2 sin(2 pi n s/L)}, n = 1..n_k,
 which spans the same K directions as the complex exponentials with K real
-columns instead of 2K.  The kernel is real only for an even symbol, so
-``@`` checks that (exactly: equal xi^2 give bit-equal symbol values) and
-raises ``FilterAssemblyError`` otherwise.
+columns instead of 2K.  The symbol is therefore computed on n = 0..n_k only,
+and the cosine and sine column of each n share its value, so the filter is
+real by construction.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FilterAssemblyError, InvalidCurveError
+from .errors import InvalidCurveError
 
 # Gauss-Legendre rule for the bump integral; the integrand is C-infinity with
 # all derivatives vanishing at the endpoints, so 200 nodes is far beyond
@@ -94,26 +94,6 @@ def f_weight(sigma, h):
 
 
 @dataclass(frozen=True)
-class FilterSpec:
-    """Frequency bookkeeping for the boundary filter at one energy."""
-
-    h: float
-    L: float
-    M: int
-    n_max: int
-    xi: np.ndarray  # scaled frequencies 2 pi n h / L for n = -n_max..n_max
-
-    @classmethod
-    def for_grid(cls, grid, h):
-        if grid.M % 4:
-            raise InvalidCurveError("grid size must be divisible by 4")
-        n_max = grid.M // 4
-        n = np.arange(-n_max, n_max + 1)
-        return cls(h=float(h), L=float(grid.L), M=grid.M, n_max=n_max,
-                   xi=2 * np.pi * n * h / grid.L)
-
-
-@dataclass(frozen=True)
 class LowRankFilter:
     """F_h(1 - h^2 Laplacian) on a boundary grid, kept in low-rank form.
 
@@ -122,44 +102,35 @@ class LowRankFilter:
     Fourier columns P = [1, sqrt2 cos(2 pi n s/L) for n = 1..n_k,
     sqrt2 sin(2 pi n s/L) for n = 1..n_k] of the support |n| <= n_k:
 
-        F X = h^{-1/3} X + 1/2 (P(d_r o P^T (w/L o X)) + w/L o P(d_r o P^T X)),
+        F X = h^{-1/3} X + 1/2 (P(d o P^T (w/L o X)) + w/L o P(d o P^T X)),
 
-    the symmetric part of h^{-1/3} I + P diag(d_r) P^T diag(w/L), with d_r
-    the symbol on n = 0..n_k followed by the symbol on n = 1..n_k.  Both
-    halves are needed because the analysis weights w/L are not uniform.
+    the symmetric part of h^{-1/3} I + P diag(d) P^T diag(w/L), with d the
+    symbol minus h^{-1/3} on the columns of P: on n = 0..n_k followed by
+    n = 1..n_k.  Both halves are needed because the analysis weights w/L are
+    not uniform.
     """
 
     shift: float         # h^{-1/3}, the symbol off its support
     P: np.ndarray        # (M, K) real Fourier columns on the support
-    d: np.ndarray        # (K,) symbol minus shift on n = -n_k..n_k
+    d: np.ndarray        # (K,) symbol minus shift on the columns of P
     wL: np.ndarray       # (M,) analysis weights w_m / L
-
-    def _real_symbol(self):
-        """d_r, the symbol on the columns of P; requires d even in n."""
-        if not np.array_equal(self.d, self.d[::-1]):
-            raise FilterAssemblyError(
-                "filter symbol is not even in n, so the filter is not real "
-                "(arclength/phase inconsistency?)"
-            )
-        n_k = len(self.d) // 2
-        return np.concatenate([self.d[n_k:], self.d[n_k + 1:]])
 
     def __matmul__(self, X):
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             return (self @ X[:, None])[:, 0]
-        d_r = self._real_symbol()[:, None]
+        d = self.d[:, None]
         wL = self.wL[:, None]
-        out = self.P @ (d_r * (self.P.T @ X))
+        out = self.P @ (d * (self.P.T @ X))
         out *= wL
-        out += self.P @ (d_r * (self.P.T @ (wL * X)))
+        out += self.P @ (d * (self.P.T @ (wL * X)))
         out *= 0.5
         out += self.shift * X
         return out
 
     def dense(self):
         """The M x M matrix, exactly symmetric; a test oracle."""
-        K = (self.P * self._real_symbol()) @ self.P.T
+        K = (self.P * self.d) @ self.P.T
         F = K * self.wL[None, :] + self.shift * np.eye(len(self.wL))
         return 0.5 * (F + F.T)
 
@@ -173,14 +144,18 @@ def build_filter_matrix(grid, h):
     h^{-1/3} I.  Only the frequencies in the symbol's support
     1 - xi^2 > h^{2/3}, |n| <= n_k, differ from h^{-1/3}; the K = 2 n_k + 1
     real columns spanning them are kept, at a cost of O(MK).  The analysis
-    weights are w_m / L.
+    weights are w_m / L.  Raises ``InvalidCurveError`` unless M is divisible
+    by 4.
     """
-    spec = FilterSpec.for_grid(grid, h)
-    sigma = 1.0 - spec.xi ** 2
-    kept = sigma > h ** (2.0 / 3.0)
+    if grid.M % 4:
+        raise InvalidCurveError("grid size must be divisible by 4")
+    n = np.arange(grid.M // 4 + 1)
+    sigma = 1.0 - (2 * np.pi * n * h / grid.L) ** 2
     shift = h ** (-1.0 / 3.0)
-    # sigma falls with |n|, so the support is |n| <= n_k: K = 2 n_k + 1, or 0
-    K = int(kept.sum())
+    # sigma falls with n, so the support is n <= n_k: K = 2 n_k + 1, or 0
+    d = f_weight(sigma[sigma > h ** (2.0 / 3.0)], h) - shift
+    d = np.concatenate([d, d[1:]])
+    K = len(d)
     n_k = K // 2
     phase = (2 * np.pi / grid.L) * np.outer(grid.s, np.arange(1, n_k + 1))
     P = np.empty((grid.M, K))
@@ -188,5 +163,4 @@ def build_filter_matrix(grid, h):
     np.cos(phase, out=P[:, 1:n_k + 1])
     np.sin(phase, out=P[:, n_k + 1:])
     P[:, 1:] *= np.sqrt(2.0)
-    return LowRankFilter(shift=shift, P=P, d=f_weight(sigma[kept], h) - shift,
-                         wL=grid.w / grid.L)
+    return LowRankFilter(shift=shift, P=P, d=d, wL=grid.w / grid.L)

@@ -71,7 +71,7 @@ class TestBasisMatrices:
     def test_coincident_charge_rejected(self, disc, monkeypatch):
         node = build_grid(disc, 16).x[:1].copy()
         monkeypatch.setattr(neuspec.assembly, "charge_points",
-                            lambda curve, N, tau: ChargeSet(N=1, tau=tau, y=node))
+                            lambda curve, N, tau: ChargeSet(N=1, y=node))
         with pytest.raises(SingularKernelError):
             SystemBuilder(disc, 16, 1, 0.1)
 
@@ -130,7 +130,7 @@ class TestSqrtFactor:
         assert np.abs(B.T @ B - np.eye(5)).max() < 1e-14
 
     def test_cutoff_definition(self):
-        B, r = sqrt_factor(np.diag([1.0, 1e-20]), eps_H=1e-12)
+        B, r = sqrt_factor(np.diag([1.0, 1e-20]))
         assert r == 1
         assert B.shape == (1, 2)
         assert np.abs(np.abs(B[0]) - [1.0, 0.0]).max() < 1e-14
@@ -139,7 +139,7 @@ class TestSqrtFactor:
         X = rng.standard_normal((30, 30))
         H = X @ X.T
         H = 0.5 * (H + H.T)
-        B, r = sqrt_factor(H, eps_H=1e-12)
+        B, r = sqrt_factor(H)
         lam1 = np.linalg.eigvalsh(H)[-1]
         err = np.linalg.norm(B.T @ B - H, 2)
         assert err <= 1e-12 * lam1 * (1 + 1e-10) + 1e-13

@@ -153,6 +153,56 @@ class TestSolveCommand:
         assert abs(doc["sqrtE"] - MU_30_1) < 1e-9
 
 
+class TestLibraryDefaults:
+    """Without --eps/--tol/--cest/--cenn the commands print what the library
+    computes with its own defaults."""
+
+    SYSTEM = ["--curve", DISC, "--M", "64", "--N", "32", "--tau", "0.1"]
+
+    def test_solve(self, tmp_path, disc):
+        from neuspec import localize_minimum
+
+        out = tmp_path / "s.json"
+        assert run(["solve", *self.SYSTEM, "--f0", "3.81", "--f1", "3.84",
+                    "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        res = localize_minimum(disc, 64, 32, 0.1, (3.81, 3.84), coarse=21)
+        for key in ("sqrtE", "E", "t_min", "t_classical", "eps_new",
+                    "eps_clas", "n_evals", "n_presolve", "slope", "t_second",
+                    "weyl_index"):
+            assert doc[key] == getattr(res, key), key
+
+    def test_sweep(self, tmp_path, disc):
+        from neuspec import sweep
+
+        # near j'_{20,2} the stack takes the truncated SVD, so the SVD
+        # cutoff shows in every column
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--curve", DISC, "--M", "256", "--N", "128",
+                    "--tau", "0.1", "--fmin", "27.72", "--fmax", "27.74",
+                    "--steps", "2", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        samples = sweep(disc, 256, 128, 0.1, 27.72, 27.74, 2)
+        assert len(rows) == len(samples)
+        for r, s in zip(rows, samples):
+            assert float(r["tension_min"]) == s.t_min
+            assert float(r["c_min"]) == s.c_min
+            assert int(r["rank_eps"]) == s.rank_eps
+
+    def test_mode(self, tmp_path, disc):
+        from neuspec import TensionSolver, interior_grid, point_source_sum
+
+        out = tmp_path / "m.csv"
+        assert run(["mode", *self.SYSTEM, "--freq", "3.83", "--nx", "9",
+                    "--out", str(out)]) == 0
+        u = np.array([float(r["u"]) for r in csv.DictReader(out.open())])
+        solver = TensionSolver(disc, 64, 32, 0.1)
+        alpha = solver.evaluate(3.83 ** 2).alpha
+        expect = point_source_sum(solver.builder.charges, alpha, 3.83 ** 2,
+                                  interior_grid(disc, 9).points)
+        assert np.array_equal(u, expect)
+
+
 class TestModeCommand:
     def test_tiny_raster(self, tmp_path):
         out = tmp_path / "m.csv"
@@ -234,6 +284,13 @@ class TestParser:
                               env={**os.environ, "PYTHONPATH": str(src)},
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_every_export_resolves(self):
+        # a stale name in the lazy export table fails here, not at first use
+        import neuspec
+
+        for name in neuspec.__all__:
+            assert neuspec.__getattr__(name) is not None, name
 
     def test_threads_flag_accepted(self, tmp_path):
         rc = run(["sweep", "--curve", DISC, "--fmin", "3.0", "--fmax", "3.4",

@@ -140,6 +140,31 @@ class TestChargePoints:
         with pytest.raises(InvalidCurveError):
             charge_points(disc, 8, 0.0)
 
+    def test_first_interior_charge_reported(self, wobbly):
+        # at tau=0.1 the continuation of the three-lobe curve folds back
+        # inside it
+        with pytest.raises(ChargePlacementError) as info:
+            charge_points(wobbly, 64, 0.1)
+        assert info.value.index == 9
+
+    @pytest.mark.parametrize("N", [16, 64, 350])
+    @pytest.mark.parametrize("tau", [0.01, 0.025, 0.05, 0.08, 0.1, 0.3, 5.0])
+    def test_matches_per_point_check(self, wobbly, N, tau):
+        # reference: each point on its own, in order, must be finite and
+        # strictly outside the curve along its own ray
+        theta = 2 * np.pi * (np.arange(N) / N - 1j * tau)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = wobbly.position(theta)
+            expect = next((i for i, p in enumerate(y) if not (
+                np.isfinite(p) and abs(p) > wobbly.radius(np.angle(p)))),
+                None)
+        try:
+            charge_points(wobbly, N, tau)
+            index = None
+        except ChargePlacementError as exc:
+            index = exc.index
+        assert index == expect
+
 
 class TestContainsInteriorArea:
     def test_contains_trivials(self, disc):

@@ -21,7 +21,7 @@ class TestParabolicMin:
             calls.append(E)
             return (E - 5.0) ** 2 + 1e-6
 
-        e, y, n, _ = parabolic_min(f, 3.0, 8.0, tol=1e-13)
+        e, y, n = parabolic_min(f, 3.0, 8.0, tol=1e-13)
         assert abs(e - 5.0) < 1e-9
         assert n <= 4
         assert len(calls) == n
@@ -43,7 +43,7 @@ class TestParabolicMin:
     def test_golden_fallback_on_concave_start(self):
         # concave bump with a sharp minimum near the right edge
         f = lambda E: -((E - 5.0) ** 2) + 100 * max(E - 7.6, 0.0) ** 2
-        e, y, n, _ = parabolic_min(f, 3.0, 8.0, tol=1e-10, budget=40)
+        e, y, n = parabolic_min(f, 3.0, 8.0, tol=1e-10, budget=40)
         assert 3.0 <= e <= 8.0
 
 
@@ -118,7 +118,7 @@ class TestLocalizeMinimum:
             seen.append(t2)
             return t2
 
-        e, y, n, cache = parabolic_min(f, 32.52 ** 2, 32.55 ** 2, tol=1e-13)
+        e, y, n = parabolic_min(f, 32.52 ** 2, 32.55 ** 2, tol=1e-13)
         assert y <= min(seen) + 1e-15
 
 

@@ -116,6 +116,11 @@ class TestJnPrimeZeros:
             assert np.all(np.diff(zs) > 0)
             assert zs[0] > n
 
+    def test_indexed_zero_matches_first_zeros(self):
+        for n in [*range(61), 100, 150, 200]:
+            for l in (1, 2, 3, 5, 8, 13, 21, 40, 100):
+                assert jnprime_zero(n, l) == jnprime_zeros(n, l)[l - 1], (n, l)
+
     def test_zeros_upto_matches_indexed(self):
         zs = jnprime_zeros_upto(4, 25.0)
         for l, mu in enumerate(zs, start=1):

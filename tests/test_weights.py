@@ -1,12 +1,10 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from neuspec import (FilterSpec, build_filter_matrix, build_grid, f_weight,
-                     g_weight)
-from neuspec.errors import FilterAssemblyError, InvalidCurveError
+from neuspec import build_filter_matrix, build_grid, f_weight, g_weight
+from neuspec.errors import InvalidCurveError
 from neuspec.weights import smooth_step
 
 
@@ -64,21 +62,28 @@ class TestScalarWeights:
 
 
 class TestFilterSpec:
+    """The filter's frequency bookkeeping: the symbol on the columns of P
+    and the grid-size check."""
+
     def test_fields(self, disc):
-        g = build_grid(disc, 64)
-        spec = FilterSpec.for_grid(g, 0.05)
-        assert spec.n_max == 16
-        assert len(spec.xi) == 33
-        assert np.allclose(spec.xi + spec.xi[::-1], 0.0)  # odd in n
-        vals = f_weight(1 - spec.xi ** 2, spec.h)
+        h = 0.05
+        F = build_filter_matrix(build_grid(disc, 64), h)
+        # on the unit circle the support 1 - (n h)^2 > h^(2/3) holds
+        # |n| <= 18, cut at the grid's |n| <= M/4 = 16
+        assert F.P.shape == (64, 33)
+        assert F.d.shape == (33,)
+        # the cosine and sine column of each n share its symbol value
+        assert np.array_equal(F.d[1:17], F.d[17:])
+        vals = F.d + F.shift
+        assert F.shift == h ** (-1 / 3.0)
         assert np.all(vals >= 1.0 - 1e-15)
-        assert np.all(vals <= spec.h ** (-1 / 3.0) + 1e-15)
+        assert np.all(vals <= h ** (-1 / 3.0) + 1e-15)
 
     def test_requires_divisible_by_four(self, disc):
         g = build_grid(disc, 64)
         object.__setattr__(g, "M", 66)  # simulate a bad size
         with pytest.raises(InvalidCurveError):
-            FilterSpec.for_grid(g, 0.05)
+            build_filter_matrix(g, 0.05)
 
 
 class TestFilterMatrix:
@@ -125,7 +130,7 @@ class TestFilterMatrix:
         g = build_grid(wobbly, 700)
         h = 1 / 40.5
         F = build_filter_matrix(g, h)
-        xi = FilterSpec.for_grid(g, h).xi
+        xi = 2 * np.pi * np.arange(-175, 176) * h / g.L
         assert F.P.shape == (700, 91)
         assert F.d.shape == (91,)
         assert np.count_nonzero(1 - xi ** 2 > h ** (2 / 3.0)) == 91
@@ -143,21 +148,16 @@ class TestFilterMatrix:
         # the real basis spans the complex exponentials e^{2 pi i n s/L},
         # |n| <= n_k, and the even symbol makes their kernel real
         g = build_grid(wobbly, 700)
-        F = build_filter_matrix(g, 1 / 40.5)
-        n_k = len(F.d) // 2
-        E = np.exp(2j * np.pi / g.L * np.outer(g.s, np.arange(-n_k, n_k + 1)))
-        K = ((E * F.d) @ E.conj().T).real
+        h = 1 / 40.5
+        F = build_filter_matrix(g, h)
+        n = np.arange(-(len(F.d) // 2), len(F.d) // 2 + 1)
+        d = f_weight(1 - (2 * np.pi * n * h / g.L) ** 2, h) - h ** (-1 / 3.0)
+        E = np.exp(2j * np.pi / g.L * np.outer(g.s, n))
+        K = ((E * d) @ E.conj().T).real
         oracle = K * F.wL[None, :] + F.shift * np.eye(g.M)
         oracle = 0.5 * (oracle + oracle.T)
         dense = F.dense()
         assert np.abs(dense - oracle).max() < 1e-13 * np.abs(oracle).max()
-
-    def test_imaginary_residual_rejected(self, disc, rng):
-        # a symbol that is not even in n makes the product complex
-        F = build_filter_matrix(build_grid(disc, 64), 0.05)
-        odd = replace(F, d=F.d * np.linspace(0.5, 1.5, len(F.d)))
-        with pytest.raises(FilterAssemblyError):
-            odd @ rng.standard_normal((64, 2))
 
     def test_never_forms_the_dense_matrix(self, wobbly, rng):
         # building and applying at M=1400 stays below a quarter of one
