@@ -119,14 +119,18 @@ def _parse(ap, argv):
     """Parse ``argv``; with ``--config``, parse again with the file's
     ``key=value`` lines as flags of the command placed before the given
     ones, so the parser converts them and a given flag, parsed later, wins.
-    Options set by neither keep the parser's default, None except for
-    ``--coarse``, and an option left None takes the library's default."""
+    A key that names no option of the command is a usage error.  Options
+    set by neither keep the parser's default, None except for ``--coarse``,
+    and an option left None takes the library's default."""
     args = ap.parse_args(argv)
     if not args.config:
         return args
-    options = vars(args).keys() - {"command", "config", "threads"}
-    pre = [f"--{key}={val}" for key, val in _load_config(args.config).items()
-           if key in options]
+    cfg = _load_config(args.config)
+    unknown = sorted(cfg.keys() - (vars(args).keys() - {"command", "config"}))
+    if unknown:
+        raise UsageError(f"config keys name no option of {args.command}: "
+                         f"{', '.join(unknown)}")
+    pre = [f"--{key}={val}" for key, val in cfg.items()]
     return ap.parse_args([argv[0], *pre, *argv[1:]])
 
 
@@ -148,7 +152,7 @@ def _given(args, **options):
 
 def _add_common(p):
     p.add_argument("--config", help="key=value file pre-populating flags (flags win)")
-    p.add_argument("--threads", type=int, help="pin BLAS thread count")
+    p.add_argument("--threads", type=int, help="pin BLAS thread count (>= 1)")
     p.add_argument("--out", help="output path")
 
 
@@ -348,7 +352,9 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _parse(build_parser(), argv)
-        if args.threads:
+        if args.threads is not None:
+            if args.threads < 1:
+                raise UsageError("--threads must be >= 1")
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                         "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
                 os.environ[var] = str(args.threads)

@@ -48,7 +48,7 @@ def disc_modes_in_window(freq_lo, freq_hi):
     """All disc modes with eigenfrequency in [freq_lo, freq_hi].
 
     Both parities for n >= 1, one for n = 0.  Raises if the angular-order cap
-    of the zero solver (n <= 200) is reached while orders could still
+    of the Bessel zeros (n <= 200) is reached while orders could still
     contribute (mu_{n,1} > n, so orders above freq_hi cannot)."""
     if not 0 < freq_lo < freq_hi:
         raise DomainError("need 0 < freq_lo < freq_hi")

@@ -152,6 +152,23 @@ class TestSolveCommand:
         assert doc["M"] == 256          # config fills everything else
         assert abs(doc["sqrtE"] - MU_30_1) < 1e-9
 
+    @pytest.mark.parametrize("argv,key", [
+        (["sweep", "--fmin", "3.0", "--fmax", "3.4", "--steps", "3"],
+         "bogus=3"),
+        # the library's name; the option is --cest
+        (["solve", "--f0", "3.80", "--f1", "3.86", "--coarse", "5"],
+         "c_est=2.0"),
+    ], ids=["sweep-bogus", "solve-c_est"])
+    def test_config_unknown_key_usage_error(self, tmp_path, capsys, argv,
+                                            key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"curve={DISC}\nM=64\nN=32\ntau=0.1\n{key}\n")
+        rc = run([*argv, "--config", str(cfg),
+                  "--out", str(tmp_path / "x.out")])
+        assert rc == 2
+        assert key.partition("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "x.out").exists()
+
 
 class TestLibraryDefaults:
     """Without --eps/--tol/--cest/--cenn the commands print what the library
@@ -291,6 +308,23 @@ class TestParser:
 
         for name in neuspec.__all__:
             assert neuspec.__getattr__(name) is not None, name
+
+    @pytest.mark.parametrize("flag,config", [("0", ""), ("-2", ""),
+                                             (None, "threads=0\n")],
+                             ids=["flag-0", "flag-minus-2", "config-0"])
+    def test_threads_below_one_usage_error(self, tmp_path, monkeypatch,
+                                           flag, config):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(config)
+        threads = [] if flag is None else ["--threads", flag]
+        rc = run(["sweep", "--curve", DISC, "--fmin", "3.0", "--fmax", "3.4",
+                  "--steps", "3", "--M", "64", "--N", "32", "--tau", "0.1",
+                  "--config", str(cfg), *threads,
+                  "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        assert not (tmp_path / "t.csv").exists()
 
     def test_threads_flag_accepted(self, tmp_path):
         rc = run(["sweep", "--curve", DISC, "--fmin", "3.0", "--fmax", "3.4",

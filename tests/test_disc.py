@@ -5,7 +5,7 @@ from scipy import special as sp
 from neuspec import (DiscMode, boundary_ratio, disc_modes_in_window,
                      interior_norm_disc, jnprime_zero, quasi_orth_gram_norm,
                      weighted_ratio)
-from neuspec.errors import DomainError
+from neuspec.errors import DomainError, IncompleteEnumerationError
 
 
 def make_mode(n, l, parity="cos"):
@@ -70,6 +70,14 @@ class TestEnumeration:
     def test_bad_window(self):
         with pytest.raises(DomainError):
             disc_modes_in_window(2.0, 1.0)
+
+    def test_order_cap_raises(self):
+        # orders up to 201 could reach a window ending above 201; the zeros
+        # stop at order 200
+        with pytest.raises(IncompleteEnumerationError):
+            disc_modes_in_window(201.0, 201.5)
+        modes = disc_modes_in_window(200.0, 201.0)
+        assert modes and max(m.n for m in modes) < 200
 
 
 class TestInteriorNorm:

@@ -118,8 +118,29 @@ class TestJnPrimeZeros:
 
     def test_indexed_zero_matches_first_zeros(self):
         for n in [*range(61), 100, 150, 200]:
+            zs = jnprime_zeros(n, 100)
             for l in (1, 2, 3, 5, 8, 13, 21, 40, 100):
-                assert jnprime_zero(n, l) == jnprime_zeros(n, l)[l - 1], (n, l)
+                assert jnprime_zero(n, l) == zs[l - 1], (n, l)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 9, 20, 60, 120, 200])
+    def test_within_2_ulp_of_mpmath(self, n):
+        with mp.workdps(30):
+            for l, mu in enumerate(jnprime_zeros(n, 4), start=1):
+                # mpmath counts x = 0 as the first zero of J_0'
+                ref = mp.besseljzero(n, l + (n == 0), derivative=1)
+                ulps = abs(mp.mpf(float(mu)) - ref) / np.spacing(float(ref))
+                assert ulps <= 2, (n, l, float(ulps))
+
+    def test_zeros_upto_counts_every_zero(self):
+        for n in (0, 1, 17, 200):
+            zs = jnprime_zeros(n, 100)
+            assert len(jnprime_zeros_upto(n, n)) == 0
+            for k in (1, 2, 50, 100):
+                np.testing.assert_array_equal(
+                    jnprime_zeros_upto(n, zs[k - 1]), zs[:k])
+                np.testing.assert_array_equal(
+                    jnprime_zeros_upto(n, np.nextafter(zs[k - 1], 0)),
+                    zs[:k - 1])
 
     def test_zeros_upto_matches_indexed(self):
         zs = jnprime_zeros_upto(4, 25.0)
