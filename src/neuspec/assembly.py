@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (DegenerateNormError, InvalidCurveError,
                      SingularKernelError)
 from .geometry import build_grid, charge_points
-from .special import bessel_y0, bessel_y1
+from .special import bessel_y0, bessel_y1, kernel_threads
 from .weights import build_filter_matrix
 
 EPS_H = 1e-12
@@ -86,21 +86,32 @@ def sqrt_factor(H):
     return B, int(keep.sum())
 
 
+def _offsets(p, y):
+    """The x and y parts of p_i - y_n, each len(p) x len(y)."""
+    return p[:, :1] - y[:, 0], p[:, 1:] - y[:, 1]
+
+
 def point_source_sum(charges, alpha, E, points):
     """u(p) = sum_n alpha_n Y0(sqrt(E) |p - y_n|) at interior points.
 
-    Direct summation in blocks of about 65536 kernel values to bound memory;
-    points must keep a positive distance from every charge (interior points
-    always do)."""
+    Direct summation: each ``bessel_y0`` call takes a chunk of about 2^18
+    kernel values, split across :func:`kernel_threads` threads; chunks are
+    large enough for the split to pay off and small enough to bound
+    memory.  The products with alpha stay on blocks of 65536 // N rows, 4
+    to a chunk: OpenBLAS's gemv rounding depends on the row count, and
+    longer blocks move the raster's last digits.  Points must keep a
+    positive distance from every charge (interior points always do)."""
     k = np.sqrt(E)
     points = np.asarray(points, dtype=float)
     out = np.empty(len(points))
-    step = max(1, 65536 // max(charges.N, 1))
-    for lo in range(0, len(points), step):
-        hi = min(lo + step, len(points))
-        dx = points[lo:hi, None, :] - charges.y[None, :, :]
-        dist = np.sqrt(np.einsum("pnd,pnd->pn", dx, dx))
-        out[lo:hi] = bessel_y0(k * dist) @ alpha
+    block = max(1, 65536 // max(charges.N, 1))
+    chunk = 4 * block
+    threads = kernel_threads()
+    for lo in range(0, len(points), chunk):
+        dx, dy = _offsets(points[lo:lo + chunk], charges.y)
+        Y = bessel_y0(k * np.sqrt(dx * dx + dy * dy), threads)
+        for r in range(0, len(Y), block):
+            out[lo + r:lo + r + block] = Y[r:r + block] @ alpha
     return out
 
 
@@ -116,14 +127,19 @@ class SystemBuilder:
             raise ValueError("N must not exceed M")
         self.grid = build_grid(curve, M)
         self.charges = charge_points(curve, N, tau)
-        dx = self.grid.x[:, None, :] - self.charges.y[None, :, :]
-        self._dist = np.sqrt(np.einsum("mnd,mnd->mn", dx, dx))
+        dx, dy = _offsets(self.grid.x, self.charges.y)
+        self._dist = np.sqrt(dx * dx + dy * dy)
         if self._dist.min() < 1e-12:
             raise SingularKernelError("a node and a charge nearly coincide")
         inv = 1.0 / self._dist
-        self._proj_nor = np.einsum("mnd,md->mn", dx, self.grid.nrm) * inv
-        self._proj_tan = np.einsum("mnd,md->mn", dx, self.grid.tng) * inv
-        self._proj_dil = np.einsum("mnd,md->mn", dx, self.grid.x) * inv
+
+        def proj(v):
+            # (x_m - y_n) . v_m / |x_m - y_n|
+            return (dx * v[:, :1] + dy * v[:, 1:]) * inv
+
+        self._proj_nor = proj(self.grid.nrm)
+        self._proj_tan = proj(self.grid.tng)
+        self._proj_dil = proj(self.grid.x)
         self._sw = np.sqrt(self.grid.w)[:, None]
 
     def traces(self, E):

@@ -241,6 +241,7 @@ def cmd_solve(args):
     curve = parse_curve(args.curve)
     from .errors import NeuspecError
     from .search import localize_minimum
+    from .special import kernel_threads
 
     t_start = time.perf_counter()
     try:
@@ -280,6 +281,7 @@ def cmd_solve(args):
         ("M", str(args.M)),
         ("N", str(args.N)),
         ("tau", _fmt(args.tau)),
+        ("threads", str(kernel_threads())),
         ("wall_seconds", _fmt(wall)),
         ("converged", "true" if res.converged else "false"),
     ]
@@ -289,6 +291,15 @@ def cmd_solve(args):
     return status
 
 
+_MODE_CSV_ROWS = 4096
+
+
+def _mode_row(ij, xy, u):
+    """One ``mode`` CSV line from Python numbers; ``:.17g`` on a float gives
+    the bytes of :func:`_fmt`."""
+    return f"{ij[0]},{ij[1]},{xy[0]:.17g},{xy[1]:.17g},{u:.17g}\n"
+
+
 def cmd_mode(args):
     _require(args, "curve", "freq", "M", "N", "tau", "nx", "out")
     if args.nx < 2:
@@ -296,6 +307,8 @@ def cmd_mode(args):
     if not args.freq > 0:
         raise UsageError("--freq must be positive")
     curve = parse_curve(args.curve)
+    import numpy as np
+
     from .assembly import point_source_sum
     from .errors import NeuspecError
     from .geometry import interior_grid
@@ -312,11 +325,15 @@ def cmd_mode(args):
     except NeuspecError as exc:
         print(f"mode: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    lines = ["ix,iy,x,y,u"]
-    for (ix, iy), (px, py), u in zip(grid.indices, pts, vals):
-        lines.append(f"{ix},{iy},{_fmt(px)},{_fmt(py)},{_fmt(u)}")
+    # a few thousand rows at a time: .tolist() gives Python numbers, which
+    # format faster than numpy scalars, without the whole raster as objects
+    cuts = range(_MODE_CSV_ROWS, len(vals), _MODE_CSV_ROWS)
+    chunks = (np.split(a, cuts) for a in (grid.indices, pts, vals))
     with open(args.out, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("ix,iy,x,y,u\n")
+        for ij, xy, u in zip(*chunks):
+            fh.write("".join(map(_mode_row, ij.tolist(), xy.tolist(),
+                                 u.tolist())))
     return EXIT_OK
 
 

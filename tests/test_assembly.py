@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import neuspec.assembly
+import neuspec.special
 from neuspec import (ChargeSet, SystemBuilder, build_filter_matrix, build_grid,
                      charge_points, interior_norm_matrix, jnprime_zero,
                      point_source_sum, sqrt_factor)
@@ -67,6 +68,19 @@ class TestBasisMatrices:
         shift = M // N
         for n in (1, 5):
             assert np.abs(np.roll(A[:, 0], shift * n) - A[:, n]).max() < 1e-13
+
+    def test_traces_start_no_thread(self, disc, monkeypatch):
+        """Threaded BLAS runs between an evaluation's kernel calls, so its
+        Y0/Y1 arrays (here 2^15 values, the split threshold) take one
+        thread."""
+        def no_executor(*args, **kwargs):
+            raise AssertionError("a kernel executor was created")
+
+        monkeypatch.setattr(neuspec.special, "ThreadPoolExecutor",
+                            no_executor)
+        b = SystemBuilder(disc, 256, 128, 0.1)
+        assert b._dist.size == neuspec.special.SPLIT_MIN
+        b.system(400.0)
 
     def test_coincident_charge_rejected(self, disc, monkeypatch):
         node = build_grid(disc, 16).x[:1].copy()
@@ -190,6 +204,20 @@ class TestAssembleSystem:
             SystemBuilder(disc, 64, 128, 0.1)  # N > M
 
 
+def point_source_sum_blocks(charges, alpha, E, points):
+    """The sum as formed before the Y0 chunks grew: one einsum distance
+    array and one Y0 call per block of 65536 // N rows.  The chunked form
+    keeps these blocks for its products, so it must agree bit for bit."""
+    k = np.sqrt(E)
+    out = np.empty(len(points))
+    step = max(1, 65536 // charges.N)
+    for lo in range(0, len(points), step):
+        dx = points[lo:lo + step, None, :] - charges.y[None, :, :]
+        dist = np.sqrt(np.einsum("pnd,pnd->pn", dx, dx))
+        out[lo:lo + step] = bessel_y0(k * dist) @ alpha
+    return out
+
+
 class TestPointSourceSum:
     def test_matches_direct_loop(self, disc, rng):
         cs = charge_points(disc, 12, 0.2)
@@ -201,3 +229,41 @@ class TestPointSourceSum:
             direct = sum(alpha[n] * bessel_y0(np.sqrt(E) * np.hypot(*(p - cs.y[n])))
                          for n in range(12))
             assert abs(vals[i] - direct) < 1e-12 * max(1.0, abs(direct))
+
+    def test_several_chunks_match_direct_loop(self, disc, rng):
+        # N = 64: blocks of 1024 rows, Y0 chunks of 4096; the last is partial
+        cs = charge_points(disc, 64, 0.2)
+        alpha = rng.standard_normal(64)
+        pts = rng.uniform(-0.6, 0.6, (9000, 2))
+        E = 30.0
+        vals = point_source_sum(cs, alpha, E, pts)
+        direct = sum(alpha[n] * bessel_y0(np.sqrt(E) * np.hypot(*(pts - cs.y[n]).T))
+                     for n in range(64))
+        assert np.all(np.abs(vals - direct)
+                      < 1e-12 * np.maximum(1.0, np.abs(direct)))
+        assert np.array_equal(vals, point_source_sum_blocks(cs, alpha, E, pts))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_bit_equal_for_any_thread_count(self, disc, rng, monkeypatch,
+                                            threads):
+        monkeypatch.setattr(neuspec.assembly, "kernel_threads",
+                            lambda: threads)
+        cs = charge_points(disc, 350, 0.025)
+        alpha = rng.standard_normal(350)
+        pts = rng.uniform(-0.6, 0.6, (2000, 2))
+        assert np.array_equal(point_source_sum(cs, alpha, 1600.0, pts),
+                              point_source_sum_blocks(cs, alpha, 1600.0, pts))
+
+
+class TestSetupGeometry:
+    def test_distances_and_projections_match_einsum(self, wobbly):
+        """The M x N tables from two coordinate differences equal the
+        einsum over the M x N x 2 difference array bit for bit."""
+        b = SystemBuilder(wobbly, 128, 64, 0.05)
+        dx = b.grid.x[:, None, :] - b.charges.y[None, :, :]
+        dist = np.sqrt(np.einsum("mnd,mnd->mn", dx, dx))
+        assert np.array_equal(b._dist, dist)
+        inv = 1.0 / dist
+        for proj, v in ((b._proj_nor, b.grid.nrm), (b._proj_tan, b.grid.tng),
+                        (b._proj_dil, b.grid.x)):
+            assert np.array_equal(proj, np.einsum("mnd,md->mn", dx, v) * inv)

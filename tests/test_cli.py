@@ -20,6 +20,15 @@ def run(argv):
     return cli.main(argv)
 
 
+@pytest.fixture
+def blas_env(monkeypatch):
+    """Undo, after the test, the thread variables that ``--threads``
+    exports."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+
+
 class TestCurveParsing:
     def test_radial_roundtrip(self):
         c = cli.parse_curve("radial:a0=1,eps=0.3,k=3,b=0.2")
@@ -230,6 +239,28 @@ class TestModeCommand:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) <= 4  # corners of the box are on/outside the circle
 
+    def test_csv_reads_back_bit_equal(self, tmp_path, disc):
+        """More rows than one CSV chunk and one Y0 chunk."""
+        from neuspec import TensionSolver, interior_grid, point_source_sum
+
+        out = tmp_path / "m.csv"
+        assert run(["mode", "--curve", DISC, "--freq", "3.83", "--M", "64",
+                    "--N", "32", "--tau", "0.1", "--nx", "111",
+                    "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        grid = interior_grid(disc, 111)
+        solver = TensionSolver(disc, 64, 32, 0.1)
+        expect = point_source_sum(solver.builder.charges,
+                                  solver.evaluate(3.83 ** 2).alpha,
+                                  3.83 ** 2, grid.points)
+        assert len(rows) == len(expect) > 8192
+        assert np.array_equal([[int(r["ix"]), int(r["iy"])] for r in rows],
+                              grid.indices)
+        assert np.array_equal([[float(r["x"]), float(r["y"])] for r in rows],
+                              grid.points)
+        assert np.array_equal([float(r["u"]) for r in rows], expect)
+        assert out.read_text().count("\n") == len(expect) + 1
+
     def test_whispering_mode_boundary_concentration(self, tmp_path):
         out = tmp_path / "w.csv"
         rc = run(["mode", "--curve", DISC, "--freq", repr(MU_30_1),
@@ -326,8 +357,33 @@ class TestParser:
         assert "OPENBLAS_NUM_THREADS" not in os.environ
         assert not (tmp_path / "t.csv").exists()
 
-    def test_threads_flag_accepted(self, tmp_path):
+    def test_threads_flag_accepted(self, tmp_path, blas_env):
         rc = run(["sweep", "--curve", DISC, "--fmin", "3.0", "--fmax", "3.4",
                   "--steps", "3", "--M", "64", "--N", "32", "--tau", "0.1",
                   "--threads", "1", "--out", str(tmp_path / "t.csv")])
         assert rc == 0
+
+    def test_solve_json_prints_kernel_threads(self, tmp_path, blas_env):
+        out = tmp_path / "s.json"
+        assert run(["solve", "--curve", DISC, "--f0", "3.81", "--f1", "3.84",
+                    "--M", "64", "--N", "32", "--tau", "0.1", "--threads", "1",
+                    "--out", str(out)]) == 0
+        text = out.read_text()
+        assert json.loads(text)["threads"] == 1
+        assert text.index('"tau"') < text.index('"threads"') < \
+            text.index('"wall_seconds"')
+
+    def test_one_thread_starts_no_worker(self, tmp_path, blas_env,
+                                         monkeypatch):
+        import neuspec.special
+
+        def no_executor(*args, **kwargs):
+            raise AssertionError("a kernel executor was created")
+
+        monkeypatch.setattr(neuspec.special, "ThreadPoolExecutor",
+                            no_executor)
+        # at N = 32 each Y0 call takes 8192 rows, 2^18 values: past the
+        # split threshold
+        assert run(["mode", "--curve", DISC, "--freq", "3.83", "--M", "64",
+                    "--N", "32", "--tau", "0.1", "--nx", "61", "--threads",
+                    "1", "--out", str(tmp_path / "m.csv")]) == 0

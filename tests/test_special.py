@@ -1,20 +1,25 @@
+import os
+
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sp
 
+import neuspec.special
 from neuspec.errors import DomainError
-from neuspec.special import (bessel_jn, bessel_jn_prime, bessel_y0, bessel_y1,
-                             jnprime_zero, jnprime_zeros, jnprime_zeros_upto)
+from neuspec.special import (SPLIT_MIN, bessel_jn, bessel_jn_prime, bessel_y0,
+                             bessel_y1, jnprime_zero, jnprime_zeros,
+                             jnprime_zeros_upto, kernel_threads)
 
 # 50-digit series oracle values (mpmath.bessely at dps=50), frozen
 Y0_AT_1 = "0.088256964215676957982926766023515162827817523090675"
 Y1_AT_1 = "-0.78121282130028871654715000004796482054990639071644"
 
 
-def scan_zero_oracle(n, lo, hi, step=1e-6):
+def scan_zero_oracle(n, lo, hi, step=1e-3):
     """Exhaustive sign-change scan of J_n' refined by bisection; independent
-    of the production bracketing logic."""
+    of the production bracketing logic.  Zeros of J_n' lie about pi apart,
+    so a 1e-3 step separates them and the bisection refines to 1e-15."""
     xs = np.arange(lo, hi, step)
     vals = sp.jvp(n, xs)
     idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
@@ -59,6 +64,75 @@ class TestY0Y1:
             bessel_y0(0.0)
         with pytest.raises(DomainError):
             bessel_y1(-1.0)
+
+    @pytest.mark.parametrize("fn", [bessel_y0, bessel_y1])
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, [1.0, np.nan],
+                                   [2.0, np.inf]],
+                             ids=["nan", "inf", "-inf", "array-nan",
+                                  "array-inf"])
+    def test_non_finite_rejected(self, fn, x):
+        with pytest.raises(DomainError):
+            fn(x)
+
+
+class TestThreadSplit:
+    """Large Y0/Y1 arrays are split across the threads the caller asks
+    for."""
+
+    @pytest.fixture
+    def executors(self, monkeypatch):
+        """The max_workers of every executor the kernels create."""
+        made = []
+        real = neuspec.special.ThreadPoolExecutor
+
+        def counting(n):
+            made.append(n)
+            return real(n)
+
+        monkeypatch.setattr(neuspec.special, "ThreadPoolExecutor", counting)
+        return made
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("fn,ref", [(bessel_y0, sp.y0),
+                                        (bessel_y1, sp.y1)],
+                             ids=["y0", "y1"])
+    def test_bit_equal_to_scipy(self, executors, threads, fn, ref):
+        rng = np.random.default_rng(7)
+        kd = rng.uniform(1e-3, 200.0, (300, 400))
+        cases = [rng.uniform(1e-3, 200.0, SPLIT_MIN - 1),
+                 rng.uniform(1e-3, 200.0, SPLIT_MIN + 1), kd, kd[:, ::3]]
+        for x in cases:
+            got = fn(x, threads)
+            assert got.shape == x.shape
+            assert np.array_equal(got, ref(x))
+        # the last three reach the threshold
+        assert executors == ([] if threads == 1 else [threads - 1] * 3)
+        y = fn(2.5, threads)
+        assert isinstance(y, float) and np.ndim(y) == 0
+        assert np.array_equal(y, ref(2.5))
+
+    def test_one_thread_by_default(self, executors):
+        x = np.full(4 * SPLIT_MIN, 3.0)
+        assert np.array_equal(bessel_y0(x), sp.y0(x))
+        assert np.array_equal(bessel_y1(x), sp.y1(x))
+        assert executors == []
+
+    def test_kernel_threads_rule(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        assert kernel_threads() == 3
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert kernel_threads() == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert kernel_threads() == 1
+        # never more than the cores; an unusable value is passed over
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+        assert kernel_threads() == 3
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
+        assert kernel_threads() == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "many")
+        assert kernel_threads() == 2
 
 
 class TestJn:
