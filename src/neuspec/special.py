@@ -11,16 +11,16 @@ l <= 8), and the test suite holds 32 of them to 2 ulp.  Supported ranges
 are capped at what the solver and the disc reference data need;
 out-of-range orders raise instead of degrading.
 
-Y0 and Y1 are the kernels of every assembly and of the ``mode`` raster.
-With ``threads`` > 1, an array of at least ``SPLIT_MIN`` (2^15) elements is
-cut into that many contiguous slices, and each slice is evaluated by
-``y0``/``y1`` with ``out=``, the first on the calling thread and the others
-on worker threads; scipy's ufunc loops release the interpreter lock, so the
-slices run in parallel.  Workers call only scipy, so a profiler or tracer
-on the calling thread still sees one call per array.  Every element still
-goes through the same scipy kernel on its own, so the values are bit-equal
-for any thread count.  A count of 1, a scalar or a smaller array takes one
-direct call and starts no thread.
+Y0 and Y1 are the kernels of every assembly, and Y0 that of the ``mode``
+raster.  With ``threads`` > 1, :func:`bessel_y0` cuts an array of at least
+``SPLIT_MIN`` (2^15) elements into that many contiguous slices and
+evaluates each with ``y0`` and ``out=``, the first on the calling thread
+and the others on worker threads; scipy's ufunc loops release the
+interpreter lock, so the slices run in parallel.  Workers call only scipy,
+so a profiler or tracer on the calling thread still sees one call per
+array.  Every element still goes through the same scipy kernel on its own,
+so the values are bit-equal for any thread count.  A count of 1, a scalar
+or a smaller array takes one direct call and starts no thread.
 
 Only the raster asks for threads, :func:`kernel_threads` of them: the count
 BLAS is told to use (what ``--threads`` exports), else every core the
@@ -44,9 +44,21 @@ _N_MAX = 200
 _X_MAX = 1e4
 _L_MAX = 100
 
+# Below this, starting a worker costs more than it saves: on 2 cores a
+# two-way split of a y0 call broke even between 2^13 and 2^14 values and
+# took 0.64-0.91
+# of the one-thread time at 2^15 (six runs of 60 calls each).
 SPLIT_MIN = 1 << 15
 # what ``cli.main`` sets for ``--threads``, in the order OpenBLAS reads them
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _cores():
+    """Cores this process may run on (all cores where the platform cannot
+    say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def kernel_threads():
@@ -54,7 +66,7 @@ def kernel_threads():
     OPENBLAS_NUM_THREADS and OMP_NUM_THREADS that holds a positive integer,
     else the number of cores this process may run on, capped at that
     number."""
-    cores = len(os.sched_getaffinity(0))
+    cores = _cores()
     for var in _THREAD_VARS:
         try:
             n = int(os.environ[var])
@@ -63,23 +75,6 @@ def kernel_threads():
         if n >= 1:
             return min(n, cores)
     return cores
-
-
-def _split_eval(ufunc, x, threads):
-    """ufunc(x), in ``threads`` contiguous slices evaluated at once when x
-    holds at least SPLIT_MIN values."""
-    if threads <= 1 or x.size < SPLIT_MIN:
-        return ufunc(x)
-    out = np.empty(x.shape)
-    flat_x, flat_out = x.ravel(), out.reshape(-1)
-    cuts = [x.size * i // threads for i in range(threads + 1)]
-    with ThreadPoolExecutor(threads - 1) as pool:
-        rest = [pool.submit(ufunc, flat_x[lo:hi], out=flat_out[lo:hi])
-                for lo, hi in zip(cuts[1:-1], cuts[2:])]
-        ufunc(flat_x[:cuts[1]], out=flat_out[:cuts[1]])
-        for future in rest:
-            future.result()
-    return out
 
 
 def _check_positive(x, name):
@@ -91,15 +86,27 @@ def _check_positive(x, name):
 
 
 def bessel_y0(x, threads=1):
-    """Y0(x) for finite x > 0; scalar or array, split across ``threads``
-    threads when large."""
-    return _split_eval(_sp.y0, _check_positive(x, "bessel_y0"), threads)
+    """Y0(x) for finite x > 0; scalar or array.  An array of at least
+    SPLIT_MIN values is evaluated in ``threads`` contiguous slices at
+    once."""
+    x = _check_positive(x, "bessel_y0")
+    if threads <= 1 or x.size < SPLIT_MIN:
+        return _sp.y0(x)
+    out = np.empty(x.shape)
+    flat_x, flat_out = x.ravel(), out.reshape(-1)
+    cuts = [x.size * i // threads for i in range(threads + 1)]
+    with ThreadPoolExecutor(threads - 1) as pool:
+        rest = [pool.submit(_sp.y0, flat_x[lo:hi], out=flat_out[lo:hi])
+                for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        _sp.y0(flat_x[:cuts[1]], out=flat_out[:cuts[1]])
+        for future in rest:
+            future.result()
+    return out
 
 
-def bessel_y1(x, threads=1):
-    """Y1(x) for finite x > 0; scalar or array, split across ``threads``
-    threads when large."""
-    return _split_eval(_sp.y1, _check_positive(x, "bessel_y1"), threads)
+def bessel_y1(x):
+    """Y1(x) for finite x > 0; scalar or array."""
+    return _sp.y1(_check_positive(x, "bessel_y1"))
 
 
 def _check_order(n):

@@ -20,13 +20,22 @@ def run(argv):
     return cli.main(argv)
 
 
+_BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+              "NUMEXPR_NUM_THREADS")
+
+
+def _isolate_blas_env(mp):
+    """Have ``mp`` undo the thread variables that ``--threads`` exports.
+    ``delenv`` of an absent key records nothing to restore, so each is set
+    first: the undo then removes it again."""
+    for var in _BLAS_VARS:
+        mp.setenv(var, "0")
+        mp.delenv(var)
+
+
 @pytest.fixture
 def blas_env(monkeypatch):
-    """Undo, after the test, the thread variables that ``--threads``
-    exports."""
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
+    _isolate_blas_env(monkeypatch)
 
 
 class TestCurveParsing:
@@ -362,6 +371,19 @@ class TestParser:
                   "--steps", "3", "--M", "64", "--N", "32", "--tau", "0.1",
                   "--threads", "1", "--out", str(tmp_path / "t.csv")])
         assert rc == 0
+
+    def test_threads_variables_undone_after_test(self, tmp_path, blas_env):
+        """What ``blas_env`` does for a test: the variables ``--threads``
+        sets are absent again afterwards."""
+        with pytest.MonkeyPatch.context() as mp:
+            _isolate_blas_env(mp)
+            assert run(["sweep", "--curve", DISC, "--fmin", "3.0", "--fmax",
+                        "3.4", "--steps", "3", "--M", "64", "--N", "32",
+                        "--tau", "0.1", "--threads", "1",
+                        "--out", str(tmp_path / "t.csv")]) == 0
+            assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        for var in _BLAS_VARS:
+            assert var not in os.environ
 
     def test_solve_json_prints_kernel_threads(self, tmp_path, blas_env):
         out = tmp_path / "s.json"

@@ -76,8 +76,7 @@ class TestY0Y1:
 
 
 class TestThreadSplit:
-    """Large Y0/Y1 arrays are split across the threads the caller asks
-    for."""
+    """Large Y0 arrays are split across the threads the caller asks for."""
 
     @pytest.fixture
     def executors(self, monkeypatch):
@@ -93,28 +92,24 @@ class TestThreadSplit:
         return made
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    @pytest.mark.parametrize("fn,ref", [(bessel_y0, sp.y0),
-                                        (bessel_y1, sp.y1)],
-                             ids=["y0", "y1"])
-    def test_bit_equal_to_scipy(self, executors, threads, fn, ref):
+    def test_bit_equal_to_scipy(self, executors, threads):
         rng = np.random.default_rng(7)
         kd = rng.uniform(1e-3, 200.0, (300, 400))
         cases = [rng.uniform(1e-3, 200.0, SPLIT_MIN - 1),
                  rng.uniform(1e-3, 200.0, SPLIT_MIN + 1), kd, kd[:, ::3]]
         for x in cases:
-            got = fn(x, threads)
+            got = bessel_y0(x, threads)
             assert got.shape == x.shape
-            assert np.array_equal(got, ref(x))
+            assert np.array_equal(got, sp.y0(x))
         # the last three reach the threshold
         assert executors == ([] if threads == 1 else [threads - 1] * 3)
-        y = fn(2.5, threads)
+        y = bessel_y0(2.5, threads)
         assert isinstance(y, float) and np.ndim(y) == 0
-        assert np.array_equal(y, ref(2.5))
+        assert np.array_equal(y, sp.y0(2.5))
 
     def test_one_thread_by_default(self, executors):
         x = np.full(4 * SPLIT_MIN, 3.0)
         assert np.array_equal(bessel_y0(x), sp.y0(x))
-        assert np.array_equal(bessel_y1(x), sp.y1(x))
         assert executors == []
 
     def test_kernel_threads_rule(self, monkeypatch):
@@ -133,6 +128,18 @@ class TestThreadSplit:
         assert kernel_threads() == 2
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "many")
         assert kernel_threads() == 2
+
+    def test_kernel_threads_without_affinity(self, monkeypatch):
+        """Where the platform has no affinity call, every core counts."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        assert kernel_threads() == 4
+        monkeypatch.setenv("OMP_NUM_THREADS", "8")
+        assert kernel_threads() == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert kernel_threads() == 1
 
 
 class TestJn:
