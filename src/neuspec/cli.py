@@ -238,6 +238,8 @@ def cmd_solve(args):
     _require(args, "curve", "f0", "f1", "M", "N", "tau", "out")
     if not 0 < args.f0 < args.f1:
         raise UsageError("need 0 < f0 < f1")
+    if not (args.coarse == 0 or args.coarse >= 3):
+        raise UsageError("--coarse must be 0 (no presolve) or at least 3")
     curve = parse_curve(args.curve)
     from .errors import NeuspecError
     from .search import localize_minimum
@@ -294,12 +296,6 @@ def cmd_solve(args):
 _MODE_CSV_ROWS = 4096
 
 
-def _mode_row(ij, xy, u):
-    """One ``mode`` CSV line from Python numbers; ``:.17g`` on a float gives
-    the bytes of :func:`_fmt`."""
-    return f"{ij[0]},{ij[1]},{xy[0]:.17g},{xy[1]:.17g},{u:.17g}\n"
-
-
 def cmd_mode(args):
     _require(args, "curve", "freq", "M", "N", "tau", "nx", "out")
     if args.nx < 2:
@@ -325,15 +321,24 @@ def cmd_mode(args):
     except NeuspecError as exc:
         print(f"mode: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    # every index and coordinate is formatted once, not once per row;
+    # ``:.17g`` on a Python float gives the bytes of :func:`_fmt`
+    s_ix = [str(i) for i in range(len(grid.xs))]
+    s_iy = [str(i) for i in range(len(grid.ys))]
+    s_x = [f"{x:.17g}" for x in grid.xs.tolist()]
+    s_y = [f"{y:.17g}" for y in grid.ys.tolist()]
+
+    def line(ix, iy, u):
+        return f"{s_ix[ix]},{s_iy[iy]},{s_x[ix]},{s_y[iy]},{u:.17g}\n"
+
     # a few thousand rows at a time: .tolist() gives Python numbers, which
     # format faster than numpy scalars, without the whole raster as objects
     cuts = range(_MODE_CSV_ROWS, len(vals), _MODE_CSV_ROWS)
-    chunks = (np.split(a, cuts) for a in (grid.indices, pts, vals))
+    chunks = (np.split(a, cuts) for a in (*grid.indices.T, vals))
     with open(args.out, "w", newline="") as fh:
         fh.write("ix,iy,x,y,u\n")
-        for ij, xy, u in zip(*chunks):
-            fh.write("".join(map(_mode_row, ij.tolist(), xy.tolist(),
-                                 u.tolist())))
+        for ix, iy, u in zip(*chunks):
+            fh.write("".join(map(line, ix.tolist(), iy.tolist(), u.tolist())))
     return EXIT_OK
 
 

@@ -6,8 +6,8 @@ parabolic: the search keeps a bracketing triple of t^2(E) ordinates, jumps to
 the fitted parabola's vertex, and falls back to golden-section steps for
 non-convex configurations.  ``localize_minimum`` can first sample the bracket
 on a coarse grid (the presolve) and keep the neighbours of the smallest
-tension; the search starts from those two samples without evaluating them
-again.  Located minima convert to bounds:
+tension; the search starts from those two samples and the smallest between
+them without evaluating them again.  Located minima convert to bounds:
 
     eps_new  = C_est * t_min          (C_est = 1.6)
     eps_clas = C_enn * E * t_clas     (C_enn = 7.4)
@@ -22,9 +22,9 @@ comparable upper and lower bounds make t(E) ~ s |E - E_j| with s independent
 of E, so s is read off the samples the search already holds, as the secant
 (t_n - t*) / |E_n - E*| from the minimum E* to the refinement sample E_n
 nearest it, and costs no evaluation.  Only the search's own samples are used,
-so the walk and the whole-grid presolve, which hand the search the same
-bracket, give the same slope.  On the disc (M=256, N=128, exact s =
-2^(-1/2) = 0.7071) it read 0.7044 on [32.4, 32.6] at tau=0.1, 0.7071 on
+so the walk and the whole-grid presolve, which hand the search the same three
+samples, give the same slope.  On the disc (M=256, N=128, exact s =
+2^(-1/2) = 0.7071) it read 0.7055 on [32.4, 32.6] at tau=0.1, 0.7071 on
 (32.52, 32.55) without a presolve and 0.7071 around j'_{8,6} at tau=0.05; on
 the three-lobe solve of criterion 4 it reads 0.6474.
 
@@ -124,7 +124,8 @@ class EigenResult:
     on a bracket end, where the bounds describe the end, not a dip.
     ``presolve_failures`` lists the (sqrtE, message) of presolve samples
     whose evaluation failed, in grid order; ``n_presolve`` counts the grid
-    samples evaluated, failed ones included.
+    samples evaluated, failed ones included, and ``n_reused`` the search
+    samples taken from them.
     """
 
     sqrtE: float
@@ -141,14 +142,16 @@ class EigenResult:
     converged: bool = True
     presolve_failures: tuple = ()
     n_presolve: int = 0
+    n_reused: int = 0
 
     @property
     def n_evals_total(self):
         """Every evaluation spent: the presolve samples and the search's own
-        less the two bracket ends it takes from the presolve.  The slope
-        reuses a search sample and costs none."""
-        reused = 2 if self.n_presolve else 0
-        return self.n_presolve + self.n_evals - reused
+        less the ``n_reused`` it takes from the presolve (its two bracket
+        ends and the grid minimum between them, or only the ends when that
+        minimum's sample failed).  The slope reuses a search sample and
+        costs none."""
+        return self.n_presolve + self.n_evals - self.n_reused
 
 
 class TensionSolver:
@@ -244,22 +247,27 @@ def _v_walk(sample, Es, ts):
     return True
 
 
-def parabolic_min(fn, e_lo, e_hi, tol=TOL_DEFAULT, budget=60):
+def parabolic_min(fn, e_lo, e_hi, tol=TOL_DEFAULT, budget=60, e_mid=None):
     """Minimize a locally parabolic function on [e_lo, e_hi].
 
     ``fn`` maps an abscissa to the value being minimized (here: t^2 at an
-    energy).  Starting from the endpoints and the midpoint, a bracketing
-    triple is established by golden steps toward the lower side, then
-    refined: fit a parabola through the triple, evaluate at its vertex, and
-    update the bracket so the middle point stays the running minimum, with a
-    golden-section step into the wider flank whenever the fit is non-convex
-    or the vertex escapes.  Stops when the vertex update falls below ``tol``
-    times the bracket middle.  Returns (e_best, y_best, n_evals), the best
-    iterate and the number of evaluations; when ``budget`` evaluations do
-    not suffice, raises ``ConvergenceFailureError`` carrying the same.
+    energy).  Starting from the endpoints and ``e_mid`` between them (by
+    default the midpoint), a bracketing triple is established by golden
+    steps toward the lower side, then refined: fit a parabola through the
+    triple, evaluate at its vertex, and update the bracket so the middle
+    point stays the running minimum, with a golden-section step into the
+    wider flank whenever the fit is non-convex or the vertex escapes.  Stops
+    when the vertex update falls below ``tol`` times the bracket middle.
+    Returns (e_best, y_best, n_evals), the best iterate and the number of
+    evaluations; when ``budget`` evaluations do not suffice, raises
+    ``ConvergenceFailureError`` carrying the same.
     """
     if not e_lo < e_hi:
         raise ValueError("empty bracket")
+    if e_mid is None:
+        e_mid = 0.5 * (e_lo + e_hi)
+    elif not e_lo < e_mid < e_hi:
+        raise ValueError("e_mid must lie inside the bracket")
     cache = {}
 
     def f(e):
@@ -275,7 +283,7 @@ def parabolic_min(fn, e_lo, e_hi, tol=TOL_DEFAULT, budget=60):
         return ConvergenceFailureError(
             f"evaluation budget {budget} exhausted", best=finish())
 
-    a, b, c = e_lo, 0.5 * (e_lo + e_hi), e_hi
+    a, b, c = e_lo, e_mid, e_hi
     for e in (a, b, c):
         f(e)
     # establish a bracketing triple: the middle must not exceed either end
@@ -347,15 +355,19 @@ def localize_minimum(curve, M, N, tau, bracket, tol=TOL_DEFAULT,
 
     ``bracket`` is (sqrtE_lo, sqrtE_hi).  With ``coarse >= 3`` it is first
     narrowed to the two neighbours of the smallest tension on a grid of
-    ``coarse`` equispaced frequencies (the presolve); the search reuses those
-    two samples.  The presolve samples the grid ends, then walks from the
+    ``coarse`` equispaced frequencies (the presolve); the search starts from
+    those two samples and the smallest between them, and reuses all three
+    (the midpoint of the two replaces the middle sample when it failed).
+    ``coarse=0`` skips the presolve; 1, 2 and negative values raise
+    ``ValueError``.  The presolve samples the grid ends, then walks from the
     dip a V through the ends predicts, and samples the rest of the grid only
     when the V-fit isolation check (``V_FIT_TOL``, see the module docstring)
     cannot vouch that the walk found the grid's minimum.  ``n_presolve``
-    counts the samples taken.  Without a presolve the bracket should contain
-    exactly one local minimum (use a sweep to isolate one).  Presolve samples
-    whose evaluation fails are skipped and listed in ``presolve_failures``;
-    if all fail, a ``NumericalError`` is raised.  The search runs in energy E
+    counts the samples taken and ``n_reused`` those the search reuses.
+    Without a presolve the bracket should contain exactly one local minimum
+    (use a sweep to isolate one).  Presolve samples whose evaluation fails
+    are skipped and listed in ``presolve_failures``; if all fail, a
+    ``NumericalError`` is raised.  The search runs in energy E
     with the parabola fit applied to t^2.  The slope of t vs E is the secant
     from the minimum to the refinement sample nearest it, and the inclusion
     bounds are attached.  The bounds use the computed minimum tension rounded
@@ -369,21 +381,25 @@ def localize_minimum(curve, M, N, tau, bracket, tol=TOL_DEFAULT,
     f_lo, f_hi = bracket
     if not 0 < f_lo < f_hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
+    if not (coarse == 0 or coarse >= 3):
+        raise ValueError("coarse must be 0 (no presolve) or at least 3")
     if solver is None:
         solver = TensionSolver(curve, M, N, tau, eps=eps)
     evals = {}
     E_lo, E_hi = f_lo ** 2, f_hi ** 2
     failures = []
     n_presolve = 0
-    if coarse >= 3:
+    E_mid = None
+    if coarse:
         fs = np.linspace(f_lo, f_hi, coarse)
+        Es = fs * fs
         ts = np.full(coarse, np.inf)
         tried = {}
 
         def sample(i):
             """Evaluate grid point i once; whether it succeeded."""
             if i not in tried:
-                E = fs[i] * fs[i]
+                E = Es[i]
                 try:
                     ev = solver.evaluate(E)
                 except NeuspecError as exc:
@@ -394,7 +410,7 @@ def localize_minimum(curve, M, N, tau, bracket, tol=TOL_DEFAULT,
                     ts[i] = ev.t_min
             return tried[i] is None
 
-        if not _v_walk(sample, fs * fs, ts):
+        if not _v_walk(sample, Es, ts):
             for i in range(coarse):
                 sample(i)
         n_presolve = len(tried)
@@ -405,7 +421,12 @@ def localize_minimum(curve, M, N, tau, bracket, tol=TOL_DEFAULT,
             raise NumericalError(f"presolve failed at every sample "
                                  f"(first at sqrtE={f!r}: {msg})")
         best = min(max(int(np.argmin(ts)), 1), coarse - 2)
-        E_lo, E_hi = fs[best - 1] ** 2, fs[best + 1] ** 2
+        E_lo, E_hi = Es[best - 1], Es[best + 1]
+        # the grid minimum's own sample, unless it failed (clamped off an
+        # end); parabolic_min then starts from the midpoint
+        if Es[best] in evals:
+            E_mid = Es[best]
+    presolved = set(evals)
 
     refined = []  # the search's own samples, bracket ends included
 
@@ -416,7 +437,8 @@ def localize_minimum(curve, M, N, tau, bracket, tol=TOL_DEFAULT,
         return evals[E].t_min ** 2
 
     try:
-        E_star, _, n_evals = parabolic_min(tension_sq, E_lo, E_hi, tol=tol)
+        E_star, _, n_evals = parabolic_min(tension_sq, E_lo, E_hi, tol=tol,
+                                           e_mid=E_mid)
         # parabolic_min returns a bracket end bit-exactly, so `in` finds it
         converged = E_star not in (E_lo, E_hi)
     except ConvergenceFailureError as exc:
@@ -437,5 +459,6 @@ def localize_minimum(curve, M, N, tau, bracket, tol=TOL_DEFAULT,
                        eps_clas=float(eps_clas), n_evals=n_evals,
                        weyl_index=float(weyl_index(curve, E_star)),
                        slope=float(slope), t_second=best.t_second,
-                       converged=converged,
-                       presolve_failures=tuple(failures), n_presolve=n_presolve)
+                       converged=converged, presolve_failures=tuple(failures),
+                       n_presolve=n_presolve,
+                       n_reused=len(presolved.intersection(refined)))

@@ -49,8 +49,9 @@ def test_install_trace_solve_restore(tmp_path):
     doc = json.loads((tmp_path / "solve.json").read_text())
     assert tracer.counts["search.evals.slope"] == 0
     assert tracer.counts["search.evals.presolve"] == doc["n_presolve"]
-    # the search takes its two bracket ends from the presolve
-    assert tracer.counts["search.evals.refine"] == doc["n_evals"] - 2
+    # the search takes its two bracket ends and the grid minimum between
+    # them from the presolve
+    assert tracer.counts["search.evals.refine"] == doc["n_evals"] - 3
     assert (tracer.counts["search.evals.presolve"]
             + tracer.counts["search.evals.refine"]
             == tracer.counts["search.evals.total"] == doc["n_evals_total"])

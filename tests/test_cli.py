@@ -125,8 +125,9 @@ class TestSolveCommand:
         assert doc["eps_new_rel"] == pytest.approx(doc["eps_new"] / doc["E"], rel=1e-12)
         assert doc["n_evals"] >= 3
         assert 3 <= doc["n_presolve"] <= 5
-        # two samples shared by presolve and search; the slope costs none
-        assert doc["n_evals_total"] == doc["n_presolve"] + doc["n_evals"] - 2
+        # three samples shared by presolve and search (the bracket ends and
+        # the grid minimum between them); the slope costs none
+        assert doc["n_evals_total"] == doc["n_presolve"] + doc["n_evals"] - 3
         assert doc["M"] == 256 and doc["N"] == 128
         assert doc["t_second"] < 1e-10  # j'_{30,1} is a double eigenvalue
         # 17-significant-digit round trip: rewriting the parsed numbers
@@ -169,6 +170,26 @@ class TestSolveCommand:
         assert doc["N"] == 128          # explicit flag beats the config value
         assert doc["M"] == 256          # config fills everything else
         assert abs(doc["sqrtE"] - MU_30_1) < 1e-9
+
+    @pytest.mark.parametrize("coarse", ["1", "2", "-1"])
+    def test_coarse_without_presolve_grid_usage_error(self, tmp_path, capsys,
+                                                      coarse):
+        # a presolve grid needs a point between its ends
+        rc = run(["solve", "--curve", DISC, "--f0", "3.81", "--f1", "3.84",
+                  "--M", "64", "--N", "32", "--tau", "0.1", "--coarse", coarse,
+                  "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "--coarse" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_coarse_config_line_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text(f"curve={DISC}\nM=64\nN=32\ntau=0.1\ncoarse=2\n")
+        rc = run(["solve", "--config", str(cfg), "--f0", "3.81", "--f1",
+                  "3.84", "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "--coarse" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("argv,key", [
         (["sweep", "--fmin", "3.0", "--fmax", "3.4", "--steps", "3"],

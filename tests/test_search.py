@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import neuspec.search
 from neuspec import (EigenResult, SystemBuilder, TensionSolver,
                      classical_tension, disc_modes_in_window, inclusion_bounds,
                      jnprime_zero, jnprime_zeros_upto, localize_minimum,
@@ -25,6 +26,19 @@ class TestParabolicMin:
         assert abs(e - 5.0) < 1e-9
         assert n <= 4
         assert len(calls) == n
+
+    def test_middle_abscissa_starts_the_search(self):
+        calls = []
+
+        def f(E):
+            calls.append(E)
+            return (E - 5.0) ** 2 + 1e-6
+
+        e, y, n = parabolic_min(f, 3.0, 8.0, tol=1e-13, e_mid=4.5)
+        assert calls[:3] == [3.0, 4.5, 8.0]
+        assert abs(e - 5.0) < 1e-9
+        with pytest.raises(ValueError):
+            parabolic_min(f, 3.0, 8.0, e_mid=8.0)
 
     def test_budget_exhaustion_raises_with_best(self):
         from neuspec.errors import ConvergenceFailureError
@@ -143,10 +157,71 @@ class TestPresolve:
         res = localize_minimum(disc, 64, 32, 0.1, (3.7, 3.95), coarse=11)
         assert res.converged
         assert len(energies) == len(set(energies))
-        # the presolve samples and the search's own minus the two reused
-        # ends; the slope reuses a search sample
-        assert len(energies) == res.n_presolve + res.n_evals - 2
+        # the presolve samples and the search's own minus the three reused:
+        # the two ends and the grid minimum; the slope reuses a search sample
+        assert res.n_reused == 3
+        assert len(energies) == res.n_presolve + res.n_evals - 3
         assert len(energies) == res.n_evals_total
+
+    def test_search_starts_from_grid_minimum(self, disc, monkeypatch):
+        # the search's middle sample is the presolve's smallest, not a new
+        # evaluation at the midpoint of its neighbours
+        starts = []
+        parabolic = neuspec.search.parabolic_min
+
+        def spy(fn, e_lo, e_hi, **kwargs):
+            starts.append((e_lo, kwargs.get("e_mid"), e_hi))
+            return parabolic(fn, e_lo, e_hi, **kwargs)
+
+        monkeypatch.setattr(neuspec.search, "parabolic_min", spy)
+        solver = TensionSolver(disc, 64, 32, 0.1)
+        res = localize_minimum(disc, 64, 32, 0.1, (3.7, 3.95), coarse=11,
+                               solver=solver)
+        assert res.converged
+        Es = np.linspace(3.7, 3.95, 11) ** 2
+        ts = [solver.evaluate(E).t_min for E in Es]
+        b = int(np.argmin(ts))
+        [(e_lo, e_mid, e_hi)] = starts
+        assert (e_lo, e_mid, e_hi) == (Es[b - 1], Es[b], Es[b + 1])
+        assert e_mid != 0.5 * (e_lo + e_hi)
+
+    def test_failed_grid_minimum_falls_back_to_midpoint(self, disc):
+        # the tension falls toward the lower end of (3.835, 3.95), past
+        # j'_{0,1} = 3.83171, so the grid minimum is point 0 and the search
+        # bracket is points 0..2, whose middle sample fails
+        solver = TensionSolver(disc, 64, 32, 0.1)
+        fs = np.linspace(3.835, 3.95, 11)
+        calls = []
+
+        class FailsAtPoint1:
+            def evaluate(self, E):
+                calls.append(E)
+                if E == fs[1] ** 2:
+                    raise RankCollapseError("injected")
+                return solver.evaluate(E)
+
+        res = localize_minimum(disc, 64, 32, 0.1, (3.835, 3.95), coarse=11,
+                               solver=FailsAtPoint1())
+        assert [f for f, _ in res.presolve_failures] == [fs[1]]
+        assert res.n_presolve == 11
+        # the midpoint of points 0 and 2 is evaluated in the middle's place
+        assert calls[11] == 0.5 * (fs[0] ** 2 + fs[2] ** 2)
+        assert res.n_reused == 2
+        assert len(calls) == res.n_evals_total
+        assert res.n_evals_total == res.n_presolve + res.n_evals - 2
+
+    @pytest.mark.parametrize("coarse", [1, 2, -1])
+    def test_coarse_without_grid_middle_raises(self, disc, coarse):
+        calls = []
+
+        class Counted:
+            def evaluate(self, E):
+                calls.append(E)
+
+        with pytest.raises(ValueError, match="coarse"):
+            localize_minimum(disc, 64, 32, 0.1, (3.81, 3.84), coarse=coarse,
+                             solver=Counted())
+        assert calls == []
 
     def test_failed_samples_listed_or_raised(self, disc):
         solver = TensionSolver(disc, 64, 32, 0.1)
@@ -175,19 +250,17 @@ class TestPresolve:
                    (0.05, (27.810758164089904, 27.907221165938836))]
 
     @pytest.mark.parametrize("tau, bracket", SINGLE_DIPS)
-    def test_walk_matches_full_grid(self, disc, tau, bracket):
+    def test_walk_matches_full_grid(self, disc, tau, bracket, monkeypatch):
         solver = TensionSolver(disc, 256, 128, tau)
         res = localize_minimum(disc, 256, 128, tau, bracket, coarse=21,
                                solver=solver)
         assert 5 <= res.n_presolve < 21
-        # oracle: sample the whole grid, keep the neighbours of its minimum
-        # and search between them without a presolve
-        fs = np.linspace(*bracket, 21)
-        ts = [solver.evaluate(f * f).t_min for f in fs]
-        best = min(max(int(np.argmin(ts)), 1), 19)
-        oracle = localize_minimum(disc, 256, 128, tau,
-                                  (fs[best - 1], fs[best + 1]), coarse=0,
+        # oracle: a presolve whose walk never vouches, so it samples the
+        # whole grid
+        monkeypatch.setattr(neuspec.search, "_v_walk", lambda *args: False)
+        oracle = localize_minimum(disc, 256, 128, tau, bracket, coarse=21,
                                   solver=solver)
+        assert oracle.n_presolve == 21
         for field in dataclasses.fields(EigenResult):
             if field.name != "n_presolve":
                 assert np.array_equal(getattr(res, field.name),
@@ -233,7 +306,7 @@ class TestPresolve:
         res = localize_minimum(wobbly, 700, 350, 0.025, (40.50, 40.55),
                                coarse=21)
         assert res.converged
-        assert len(calls) == res.n_evals_total == 9
+        assert len(calls) == res.n_evals_total == 8
         assert res.sqrtE == pytest.approx(40.53011549421898, rel=1e-12)
 
 
