@@ -122,9 +122,9 @@ class SystemBuilder:
 
     def __init__(self, curve, M, N, tau):
         if M % 4:
-            raise ValueError("M must be divisible by 4")
+            raise InvalidCurveError("M must be divisible by 4")
         if N > M:
-            raise ValueError("N must not exceed M")
+            raise InvalidCurveError("N must not exceed M")
         self.grid = build_grid(curve, M)
         self.charges = charge_points(curve, N, tau)
         dx, dy = _offsets(self.grid.x, self.charges.y)

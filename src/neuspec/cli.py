@@ -6,8 +6,11 @@ Subcommands: ``sweep`` (tension samples over a frequency window, CSV),
 exact unit-disc identity suite, CSV report).
 
 Exit codes: 0 success, 1 validation failure (disc-check), 2 usage error,
-3 numerical failure.  All numeric output carries 17 significant digits so a
-reparse reproduces the binary values exactly.
+3 numerical failure.  ``main`` maps every library error to one of the last
+two by one rule: a ``NeuspecError`` that is also a ``ValueError`` (bad input)
+exits 2, any other (the computation degenerated) exits 3; both print one
+line ``<command>: <message>``.  All numeric output carries 17 significant
+digits so a reparse reproduces the binary values exactly.
 
 Heavy imports are deferred until after ``--threads`` has been applied to the
 BLAS environment variables, so thread pinning works when the CLI owns the
@@ -18,6 +21,8 @@ import argparse
 import os
 import sys
 import time
+
+from .errors import InvalidCurveError, NeuspecError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -40,7 +45,6 @@ def parse_curve(spec):
     ``radial:a0=<f>,eps=<f>,k=<int>,b=<f>`` or ``trig:<path>`` where the file
     holds whitespace-separated lines ``j c_j d_j``.
     """
-    from .errors import InvalidCurveError
     from .geometry import RadialCurve
 
     if spec.startswith("radial:"):
@@ -241,19 +245,14 @@ def cmd_solve(args):
     if not (args.coarse == 0 or args.coarse >= 3):
         raise UsageError("--coarse must be 0 (no presolve) or at least 3")
     curve = parse_curve(args.curve)
-    from .errors import NeuspecError
     from .search import localize_minimum
     from .special import kernel_threads
 
     t_start = time.perf_counter()
-    try:
-        res = localize_minimum(curve, args.M, args.N, args.tau,
-                               (args.f0, args.f1), coarse=args.coarse,
-                               **_given(args, tol="tol", eps="eps",
-                                        c_est="cest", c_ennenbach="cenn"))
-    except NeuspecError as exc:
-        print(f"solve: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    res = localize_minimum(curve, args.M, args.N, args.tau,
+                           (args.f0, args.f1), coarse=args.coarse,
+                           **_given(args, tol="tol", eps="eps",
+                                    c_est="cest", c_ennenbach="cenn"))
     for f, msg in res.presolve_failures:
         print(f"solve: presolve failed at sqrtE={_fmt(f)}: {msg}", file=sys.stderr)
     wall = time.perf_counter() - t_start
@@ -298,29 +297,23 @@ _MODE_CSV_ROWS = 4096
 
 def cmd_mode(args):
     _require(args, "curve", "freq", "M", "N", "tau", "nx", "out")
-    if args.nx < 2:
-        raise UsageError("--nx must be >= 2")
+    # the library would take |freq| without complaint
     if not args.freq > 0:
         raise UsageError("--freq must be positive")
     curve = parse_curve(args.curve)
     import numpy as np
 
     from .assembly import point_source_sum
-    from .errors import NeuspecError
     from .geometry import interior_grid
     from .search import TensionSolver
 
-    try:
-        solver = TensionSolver(curve, args.M, args.N, args.tau,
-                               **_given(args, eps="eps"))
-        ev = solver.evaluate(args.freq ** 2)
-        grid = interior_grid(curve, args.nx)
-        pts = grid.points
-        vals = point_source_sum(solver.builder.charges, ev.alpha,
-                                args.freq ** 2, pts)
-    except NeuspecError as exc:
-        print(f"mode: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    # built first, so a bad --nx is reported before any evaluation runs
+    grid = interior_grid(curve, args.nx)
+    solver = TensionSolver(curve, args.M, args.N, args.tau,
+                           **_given(args, eps="eps"))
+    ev = solver.evaluate(args.freq ** 2)
+    vals = point_source_sum(solver.builder.charges, ev.alpha, args.freq ** 2,
+                            grid.points)
     # every index and coordinate is formatted once, not once per row;
     # ``:.17g`` on a Python float gives the bytes of :func:`_fmt`
     s_ix = [str(i) for i in range(len(grid.xs))]
@@ -386,6 +379,9 @@ def main(argv=None):
     except (UsageError, OSError) as exc:
         print(f"{argv[0]}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NeuspecError as exc:
+        print(f"{argv[0]}: {exc}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -169,8 +169,11 @@ def identity_checks(nmax=60, lmax=5):
     ratio law ("v_ratio") and, inside the square-root regime, its weighted
     form ("v_ratio_2").  Then the quasi-orthogonality frame norm in unit
     windows at frequencies 20, 40 and 80 ("quasi_orth", within [0.3, 6]) and
-    their largest ratio ("quasi_orth_spread", below 2).
+    their largest ratio ("quasi_orth_spread", below 2).  ``nmax < 0``
+    raises ``DomainError``: it would leave only the quasi-orthogonality rows.
     """
+    if nmax < 0:
+        raise DomainError("nmax must be >= 0")
     rows = []
     sqrt2 = np.sqrt(2.0)
     for n in range(nmax + 1):

@@ -1,8 +1,11 @@
 """Exception types raised by the solver layers.
 
-Numerical failures get their own classes so callers (and the CLI, which maps
-them to exit codes) can distinguish "you passed garbage" from "the computation
-degenerated".
+Every class derives from ``NeuspecError``.  The input errors,
+``InvalidCurveError`` and ``DomainError``, are also ``ValueError``s; the
+numerical failures are not.  That base class alone tells "you passed
+garbage" from "the computation degenerated": the CLI exits 2 (usage error)
+for a ``NeuspecError`` that is a ``ValueError`` and 3 (numerical failure)
+for any other, so a new input error must subclass both.
 """
 
 
@@ -11,11 +14,19 @@ class NeuspecError(Exception):
 
 
 class InvalidCurveError(NeuspecError, ValueError):
-    """Radius function is non-positive somewhere, or curve spec is malformed."""
+    """Radius function is non-positive somewhere, curve spec is malformed, or
+    a discretization parameter (M, N, tau, nx, filter scale) is out of range.
+
+    An input error: the ``ValueError`` base makes the CLI exit 2, not 3.
+    """
 
 
 class DomainError(NeuspecError, ValueError):
-    """Argument outside the supported range of a special function."""
+    """Argument outside the supported range of a special function or of the
+    disc suite.
+
+    An input error: the ``ValueError`` base makes the CLI exit 2, not 3.
+    """
 
 
 class ChargePlacementError(NeuspecError):
@@ -27,9 +38,11 @@ class ChargePlacementError(NeuspecError):
 
     def __init__(self, index, point, message=None):
         self.index = index
-        self.point = point
+        # Python floats print as ``nan``, numpy scalars as ``np.float64(nan)``
+        self.point = tuple(map(float, point))
         super().__init__(
-            message or f"charge point {index} at {point} is not strictly exterior"
+            message
+            or f"charge point {index} at {self.point} is not strictly exterior"
         )
 
 

@@ -238,7 +238,7 @@ def charge_points(curve, N, tau):
             np.arctan2(y[:, 1], y[:, 0]))
     bad = np.flatnonzero(~(exterior & np.isfinite(y).all(axis=1)))
     if bad.size:
-        raise ChargePlacementError(int(bad[0]), tuple(y[bad[0]]))
+        raise ChargePlacementError(int(bad[0]), y[bad[0]])
     return ChargeSet(N=N, y=y)
 
 

@@ -198,9 +198,9 @@ class TestAssembleSystem:
         assert err <= 1e-12 * lam1 * H.shape[0]
 
     def test_parameter_validation(self, disc):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCurveError):
             SystemBuilder(disc, 66, 16, 0.1)   # M not divisible by 4
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidCurveError):
             SystemBuilder(disc, 64, 128, 0.1)  # N > M
 
 

@@ -346,6 +346,63 @@ class TestDiscCheckCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
+_COMMAND_FLAGS = {
+    "sweep": ["--curve", DISC, "--fmin", "3.0", "--fmax", "3.4", "--steps",
+              "3"],
+    "solve": ["--curve", DISC, "--f0", "3.81", "--f1", "3.84"],
+    "mode": ["--curve", DISC, "--freq", "3.83", "--nx", "5"],
+}
+_SYSTEM_CASES = {
+    "M70": (["--M", "70", "--N", "32", "--tau", "0.1"], 2),
+    "N80": (["--M", "64", "--N", "80", "--tau", "0.1"], 2),
+    "tau-1": (["--M", "64", "--N", "32", "--tau", "-1"], 2),
+    # the continuation overflows: charge placement fails
+    "tau1000": (["--M", "64", "--N", "32", "--tau", "1000"], 3),
+}
+# Before the rule lived in main, only the solve and mode rows at --tau 1000
+# gave these codes: the M70, N80, sweep-tau-1 and disc-check range rows ended
+# in a traceback (exit 1), solve-tau-1, mode-tau-1 and mode-freq0.5 exited 3,
+# and disc-check-nmax-1 passed (exit 0).
+_EXIT_CASES = {
+    **{f"{cmd}-{case}": ([cmd, *flags, *system], code)
+       for case, (system, code) in _SYSTEM_CASES.items()
+       for cmd, flags in _COMMAND_FLAGS.items()},
+    "disc-check-nmax250": (["disc-check", "--nmax", "250"], 2),
+    "disc-check-lmax150": (["disc-check", "--lmax", "150"], 2),
+    "disc-check-nmax-1": (["disc-check", "--nmax", "-1"], 2),
+    # filter scale h = 1/freq above 1
+    "mode-freq0.5": (["mode", "--curve", DISC, "--freq", "0.5", "--nx", "5",
+                      "--M", "64", "--N", "32", "--tau", "0.1"], 2),
+}
+
+
+class TestExitCodes:
+    """``main`` maps a library error to exit 2 when it is a ``ValueError``
+    (bad input) and to 3 otherwise, with one line ``<command>: <message>``
+    on stderr, whichever command raised it."""
+
+    @pytest.mark.parametrize("argv,code", _EXIT_CASES.values(),
+                             ids=_EXIT_CASES.keys())
+    def test_library_error_exit_code(self, tmp_path, capsys, argv, code):
+        assert run([*argv, "--out", str(tmp_path / "x.out")]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"{argv[0]}: ")
+
+    def test_console_script_path(self, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        argv, _ = _EXIT_CASES["sweep-M70"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "neuspec.cli", *argv,
+             "--out", str(tmp_path / "x.csv")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "sweep: M must be divisible by 4\n"
+
+
 class TestParser:
     def test_unknown_command_exit2(self):
         assert run(["frobnicate"]) == 2

@@ -146,6 +146,9 @@ class TestChargePoints:
         with pytest.raises(ChargePlacementError) as info:
             charge_points(wobbly, 64, 0.1)
         assert info.value.index == 9
+        # Python floats, which print as plain numbers in the message
+        assert [type(c) for c in info.value.point] == [float, float]
+        assert f"at {info.value.point} is" in str(info.value)
 
     @pytest.mark.parametrize("N", [16, 64, 350])
     @pytest.mark.parametrize("tau", [0.01, 0.025, 0.05, 0.08, 0.1, 0.3, 5.0])
