@@ -183,8 +183,8 @@ class TensionSolver:
 def sweep(curve, M, N, tau, sqrtE_min, sqrtE_max, steps, eps=EPS_DEFAULT):
     """Evaluate the minimum tension at ``steps`` equispaced frequencies.
 
-    Failures at individual energies are recorded as samples with an error
-    message instead of aborting the whole sweep.
+    Numerical failures at individual energies are recorded as samples with
+    an error message; an input error (a ``ValueError``) aborts the sweep.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -199,6 +199,8 @@ def sweep(curve, M, N, tau, sqrtE_min, sqrtE_max, steps, eps=EPS_DEFAULT):
                                    rank_eps=ev.rank_eps, c_min=ev.c_min,
                                    rank_H=ev.rank_H))
         except NeuspecError as exc:
+            if isinstance(exc, ValueError):
+                raise
             out.append(SweepSample(sqrtE=float(f), t_min=float("nan"),
                                    rank_eps=0, c_min=float("nan"), rank_H=0,
                                    error=str(exc)))
@@ -365,17 +367,18 @@ def localize_minimum(curve, M, N, tau, bracket, tol=TOL_DEFAULT,
     cannot vouch that the walk found the grid's minimum.  ``n_presolve``
     counts the samples taken and ``n_reused`` those the search reuses.
     Without a presolve the bracket should contain exactly one local minimum
-    (use a sweep to isolate one).  Presolve samples whose evaluation fails
-    are skipped and listed in ``presolve_failures``; if all fail, a
-    ``NumericalError`` is raised.  The search runs in energy E
-    with the parabola fit applied to t^2.  The slope of t vs E is the secant
-    from the minimum to the refinement sample nearest it, and the inclusion
-    bounds are attached.  The bounds use the computed minimum tension rounded
-    up by the empirical allowance ``T_ROUNDING_ULPS * u * E`` for its rounding
-    error, so that the returned ``t_min`` bounds the exact tension and
-    ``eps_new`` keeps the form ``c_est * t_min``.  If the evaluation budget runs out, or the
-    minimum lands on a bracket end (the tension falls toward it, so the dip
-    may lie outside), the best iterate is still returned, marked
+    (use a sweep to isolate one).  Presolve samples that fail numerically
+    are skipped and listed in ``presolve_failures``, input errors (each a
+    ``ValueError``) propagate, and all failing raises ``NumericalError``.
+    The search runs in energy E, its parabola fitted to t^2.  The slope of
+    t vs E is the secant from the minimum to the refinement sample nearest
+    it, and the inclusion bounds are attached.  The bounds use the computed
+    minimum tension rounded up by the empirical allowance
+    ``T_ROUNDING_ULPS * u * E`` for its rounding error, so that the returned
+    ``t_min`` bounds the exact tension and ``eps_new`` keeps the form
+    ``c_est * t_min``.  If the evaluation budget runs out, or the minimum
+    lands on a bracket end (the tension falls toward it, so the dip may lie
+    outside), the best iterate is still returned, marked
     ``converged=False``.
     """
     f_lo, f_hi = bracket
@@ -403,6 +406,8 @@ def localize_minimum(curve, M, N, tau, bracket, tol=TOL_DEFAULT,
                 try:
                     ev = solver.evaluate(E)
                 except NeuspecError as exc:
+                    if isinstance(exc, ValueError):
+                        raise
                     tried[i] = str(exc)
                 else:
                     tried[i] = None

@@ -12,28 +12,19 @@ are capped at what the solver and the disc reference data need;
 out-of-range orders raise instead of degrading.
 
 Y0 and Y1 are the kernels of every assembly, and Y0 that of the ``mode``
-raster.  With ``threads`` > 1, :func:`bessel_y0` cuts an array of at least
-``SPLIT_MIN`` (2^15) elements into that many contiguous slices and
-evaluates each with ``y0`` and ``out=``, the first on the calling thread
-and the others on worker threads; scipy's ufunc loops release the
-interpreter lock, so the slices run in parallel.  Workers call only scipy,
-so a profiler or tracer on the calling thread still sees one call per
-array.  Every element still goes through the same scipy kernel on its own,
-so the values are bit-equal for any thread count.  A count of 1, a scalar
-or a smaller array takes one direct call and starts no thread.
-
-Only the raster asks for threads, :func:`kernel_threads` of them: the count
-BLAS is told to use (what ``--threads`` exports), else every core the
-process may run on, never more than those cores.  The traces of an
-evaluation take one thread, because threaded BLAS runs between their
-kernel calls and OpenBLAS's idle threads keep spinning on the other cores
-for about 0.1 s after each call: at M=700 a split Y0 call inside an
-evaluation measured 11.1 ms against 10.3 ms unsplit on 2 cores, and a
-lobe-solve about 5 % slower.
+raster, which alone runs on :func:`kernel_threads` threads: the count BLAS
+is told to use (what ``--threads`` exports), else every core the process
+may use, never more.  Those threads live in ``assembly.point_source_sum``,
+a pipeline whose workers fill a ring of blocks through :func:`bessel_y0`
+with ``out=``; scipy's loops release the interpreter lock and take each
+element on its own, so the values are bit-equal for any count.  OpenBLAS's
+idle threads spin on the other cores for about 0.1 s after each call, so
+the workers form the distances too (lobe-mode's sum: 568 ms, against 829
+ms with only Y0 split) and an evaluation's traces take one thread (a split
+Y0 call there measured 11.1 ms against 10.3 ms unsplit, M=700, 2 cores).
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import special as _sp
@@ -44,11 +35,6 @@ _N_MAX = 200
 _X_MAX = 1e4
 _L_MAX = 100
 
-# Below this, starting a worker costs more than it saves: on 2 cores a
-# two-way split of a y0 call broke even between 2^13 and 2^14 values and
-# took 0.64-0.91
-# of the one-thread time at 2^15 (six runs of 60 calls each).
-SPLIT_MIN = 1 << 15
 # what ``cli.main`` sets for ``--threads``, in the order OpenBLAS reads them
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -85,23 +71,10 @@ def _check_positive(x, name):
     return x
 
 
-def bessel_y0(x, threads=1):
-    """Y0(x) for finite x > 0; scalar or array.  An array of at least
-    SPLIT_MIN values is evaluated in ``threads`` contiguous slices at
-    once."""
-    x = _check_positive(x, "bessel_y0")
-    if threads <= 1 or x.size < SPLIT_MIN:
-        return _sp.y0(x)
-    out = np.empty(x.shape)
-    flat_x, flat_out = x.ravel(), out.reshape(-1)
-    cuts = [x.size * i // threads for i in range(threads + 1)]
-    with ThreadPoolExecutor(threads - 1) as pool:
-        rest = [pool.submit(_sp.y0, flat_x[lo:hi], out=flat_out[lo:hi])
-                for lo, hi in zip(cuts[1:-1], cuts[2:])]
-        _sp.y0(flat_x[:cuts[1]], out=flat_out[:cuts[1]])
-        for future in rest:
-            future.result()
-    return out
+def bessel_y0(x, out=None):
+    """Y0(x) for finite x > 0; scalar or array, written to ``out`` if
+    given."""
+    return _sp.y0(_check_positive(x, "bessel_y0"), out=out)
 
 
 def bessel_y1(x):

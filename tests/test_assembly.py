@@ -1,3 +1,5 @@
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +10,23 @@ import neuspec.special
 from neuspec import (ChargeSet, SystemBuilder, build_filter_matrix, build_grid,
                      charge_points, interior_norm_matrix, jnprime_zero,
                      point_source_sum, sqrt_factor)
-from neuspec.errors import (DegenerateNormError, InvalidCurveError,
-                            SingularKernelError)
+from neuspec.errors import (DegenerateNormError, DomainError,
+                            InvalidCurveError, SingularKernelError)
 from neuspec.special import bessel_y0
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every thread started while the test runs."""
+    threads = []
+    real = threading.Thread.start
+
+    def start(self):
+        threads.append(self)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return threads
 
 
 def interior_norm2_oracle(curve, fn, n_theta=2000, n_r=2000):
@@ -69,18 +85,15 @@ class TestBasisMatrices:
         for n in (1, 5):
             assert np.abs(np.roll(A[:, 0], shift * n) - A[:, n]).max() < 1e-13
 
-    def test_traces_start_no_thread(self, disc, monkeypatch):
+    def test_traces_start_no_thread(self, disc, monkeypatch, started):
         """Threaded BLAS runs between an evaluation's kernel calls, so its
-        Y0/Y1 arrays (here 2^15 values, the split threshold) take one
-        thread."""
-        def no_executor(*args, **kwargs):
-            raise AssertionError("a kernel executor was created")
-
-        monkeypatch.setattr(neuspec.special, "ThreadPoolExecutor",
-                            no_executor)
+        Y0/Y1 arrays (here 2^15 values each) take one thread, whatever
+        the raster's thread count."""
+        monkeypatch.setattr(neuspec.assembly, "kernel_threads", lambda: 4)
         b = SystemBuilder(disc, 256, 128, 0.1)
-        assert b._dist.size == neuspec.special.SPLIT_MIN
+        assert b._dist.size == 1 << 15
         b.system(400.0)
+        assert started == []
 
     def test_coincident_charge_rejected(self, disc, monkeypatch):
         node = build_grid(disc, 16).x[:1].copy()
@@ -245,7 +258,9 @@ class TestPointSourceSum:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_bit_equal_for_any_thread_count(self, disc, rng, monkeypatch,
-                                            threads):
+                                            started, threads):
+        """The pipeline's blocks give the same bits on any thread count; one
+        thread fills them inline and starts none."""
         monkeypatch.setattr(neuspec.assembly, "kernel_threads",
                             lambda: threads)
         cs = charge_points(disc, 350, 0.025)
@@ -253,6 +268,75 @@ class TestPointSourceSum:
         pts = rng.uniform(-0.6, 0.6, (2000, 2))
         assert np.array_equal(point_source_sum(cs, alpha, 1600.0, pts),
                               point_source_sum_blocks(cs, alpha, 1600.0, pts))
+        if threads == 1:
+            assert started == []
+        else:
+            assert 1 <= len(started) <= threads
+            assert not any(t.is_alive() for t in started)
+
+    def test_workers_call_no_traced_name(self, disc, rng, monkeypatch):
+        """A tracer that wraps this module's Bessel names assumes one
+        thread, so the pipeline's workers must not reach those names."""
+        for name in ("bessel_y0", "bessel_y1"):
+            def on_main_thread(*args, real=getattr(neuspec.assembly, name),
+                               **kwargs):
+                assert threading.current_thread() is threading.main_thread()
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(neuspec.assembly, name, on_main_thread)
+        monkeypatch.setattr(neuspec.assembly, "kernel_threads", lambda: 2)
+        cs = charge_points(disc, 350, 0.025)
+        alpha = rng.standard_normal(350)
+        pts = rng.uniform(-0.6, 0.6, (2000, 2))
+        assert np.array_equal(point_source_sum(cs, alpha, 1600.0, pts),
+                              point_source_sum_blocks(cs, alpha, 1600.0, pts))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_point_on_charge_raises_and_leaves_no_thread(self, disc, rng,
+                                                         monkeypatch,
+                                                         threads):
+        """The Y0 check's error reaches the caller, from the worker that
+        filled the block, and every worker is joined."""
+        raised_on = []
+        real = neuspec.special.bessel_y0
+
+        def recording(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except DomainError:
+                raised_on.append(threading.current_thread())
+                raise
+
+        monkeypatch.setattr(neuspec.special, "bessel_y0", recording)
+        monkeypatch.setattr(neuspec.assembly, "kernel_threads",
+                            lambda: threads)
+        cs = charge_points(disc, 350, 0.025)
+        pts = rng.uniform(-0.6, 0.6, (2000, 2))
+        pts[1500] = cs.y[7]   # in block 8 of 11
+        before = threading.active_count()
+        with pytest.raises(DomainError):
+            point_source_sum(cs, rng.standard_normal(350), 1600.0, pts)
+        assert threading.active_count() == before
+        assert len(raised_on) == 1
+        on_main = raised_on[0] is threading.main_thread()
+        assert on_main == (threads == 1)
+
+    def test_memory_set_by_ring_not_raster(self, disc, rng, monkeypatch):
+        """Ten times the points, the same peak: the ring of Y0 blocks, not
+        the raster, sets the memory."""
+        monkeypatch.setattr(neuspec.assembly, "kernel_threads", lambda: 2)
+        cs = charge_points(disc, 350, 0.025)
+        alpha = rng.standard_normal(350)
+        peaks = []
+        for n in (2000, 20000):
+            pts = rng.uniform(-0.6, 0.6, (n, 2))
+            tracemalloc.start()
+            try:
+                point_source_sum(cs, alpha, 1600.0, pts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1e6
 
 
 class TestSetupGeometry:

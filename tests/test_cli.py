@@ -370,8 +370,14 @@ _EXIT_CASES = {
     "disc-check-nmax250": (["disc-check", "--nmax", "250"], 2),
     "disc-check-lmax150": (["disc-check", "--lmax", "150"], 2),
     "disc-check-nmax-1": (["disc-check", "--nmax", "-1"], 2),
-    # filter scale h = 1/freq above 1
+    # filter scale h = 1/freq above 1; sweep and solve exited 3 before their
+    # samples passed input errors on
     "mode-freq0.5": (["mode", "--curve", DISC, "--freq", "0.5", "--nx", "5",
+                      "--M", "64", "--N", "32", "--tau", "0.1"], 2),
+    "sweep-fmax0.6": (["sweep", "--curve", DISC, "--fmin", "0.3", "--fmax",
+                       "0.6", "--steps", "3", "--M", "64", "--N", "32",
+                       "--tau", "0.1"], 2),
+    "solve-f1-0.6": (["solve", "--curve", DISC, "--f0", "0.3", "--f1", "0.6",
                       "--M", "64", "--N", "32", "--tau", "0.1"], 2),
 }
 
@@ -475,15 +481,13 @@ class TestParser:
 
     def test_one_thread_starts_no_worker(self, tmp_path, blas_env,
                                          monkeypatch):
-        import neuspec.special
+        import threading
 
-        def no_executor(*args, **kwargs):
-            raise AssertionError("a kernel executor was created")
+        def no_thread(self):
+            raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(neuspec.special, "ThreadPoolExecutor",
-                            no_executor)
-        # at N = 32 each Y0 call takes 8192 rows, 2^18 values: past the
-        # split threshold
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        # at N = 32 the 2809 raster points make two blocks of up to 2048 rows
         assert run(["mode", "--curve", DISC, "--freq", "3.83", "--M", "64",
                     "--N", "32", "--tau", "0.1", "--nx", "61", "--threads",
                     "1", "--out", str(tmp_path / "m.csv")]) == 0

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-import neuspec.special
 from neuspec.errors import DomainError
-from neuspec.special import (SPLIT_MIN, bessel_jn, bessel_jn_prime, bessel_y0,
-                             bessel_y1, jnprime_zero, jnprime_zeros,
-                             jnprime_zeros_upto, kernel_threads)
+from neuspec.special import (bessel_jn, bessel_jn_prime, bessel_y0, bessel_y1,
+                             jnprime_zero, jnprime_zeros, jnprime_zeros_upto,
+                             kernel_threads)
 
 # 50-digit series oracle values (mpmath.bessely at dps=50), frozen
 Y0_AT_1 = "0.088256964215676957982926766023515162827817523090675"
@@ -74,43 +73,25 @@ class TestY0Y1:
         with pytest.raises(DomainError):
             fn(x)
 
-
-class TestThreadSplit:
-    """Large Y0 arrays are split across the threads the caller asks for."""
-
-    @pytest.fixture
-    def executors(self, monkeypatch):
-        """The max_workers of every executor the kernels create."""
-        made = []
-        real = neuspec.special.ThreadPoolExecutor
-
-        def counting(n):
-            made.append(n)
-            return real(n)
-
-        monkeypatch.setattr(neuspec.special, "ThreadPoolExecutor", counting)
-        return made
-
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_bit_equal_to_scipy(self, executors, threads):
+    def test_y0_bit_equal_to_scipy(self):
+        """Any shape or stride, with or without ``out``; a scalar stays a
+        scalar."""
         rng = np.random.default_rng(7)
         kd = rng.uniform(1e-3, 200.0, (300, 400))
-        cases = [rng.uniform(1e-3, 200.0, SPLIT_MIN - 1),
-                 rng.uniform(1e-3, 200.0, SPLIT_MIN + 1), kd, kd[:, ::3]]
-        for x in cases:
-            got = bessel_y0(x, threads)
+        for x in (rng.uniform(1e-3, 200.0, 1 << 15), kd, kd[:, ::3]):
+            got = bessel_y0(x)
             assert got.shape == x.shape
             assert np.array_equal(got, sp.y0(x))
-        # the last three reach the threshold
-        assert executors == ([] if threads == 1 else [threads - 1] * 3)
-        y = bessel_y0(2.5, threads)
+            buf = x.copy()
+            assert bessel_y0(buf, out=buf) is buf
+            assert np.array_equal(buf, sp.y0(x))
+        y = bessel_y0(2.5)
         assert isinstance(y, float) and np.ndim(y) == 0
         assert np.array_equal(y, sp.y0(2.5))
 
-    def test_one_thread_by_default(self, executors):
-        x = np.full(4 * SPLIT_MIN, 3.0)
-        assert np.array_equal(bessel_y0(x), sp.y0(x))
-        assert executors == []
+
+class TestKernelThreads:
+    """How many threads the ``mode`` raster's pipeline runs on."""
 
     def test_kernel_threads_rule(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
