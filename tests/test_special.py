@@ -1,4 +1,6 @@
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -90,8 +92,52 @@ class TestY0Y1:
         assert np.array_equal(y, sp.y0(2.5))
 
 
-class TestKernelThreads:
-    """How many threads the ``mode`` raster's pipeline runs on."""
+class TestThreadSplit:
+    """The ``mode`` raster's pipeline splits its Y0 blocks across
+    :func:`kernel_threads` workers, each writing its own rows of a shared
+    buffer through ``out=``; the kernel itself starts no thread."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Every thread started while the test runs."""
+        threads = []
+        real = threading.Thread.start
+
+        def start(self):
+            threads.append(self)
+            real(self)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        return threads
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_bit_equal_to_scipy(self, started, threads):
+        """Rows of one buffer filled concurrently by ``threads`` workers give
+        the bits of one scipy call on the whole array."""
+        rng = np.random.default_rng(7)
+        kd = rng.uniform(1e-3, 200.0, (300, 400))
+        cases = [rng.uniform(1e-3, 200.0, ((1 << 15) - 1, 1)),
+                 rng.uniform(1e-3, 200.0, ((1 << 15) + 1, 1)), kd, kd[:, ::3]]
+        with ThreadPoolExecutor(threads) as pool:
+            for x in cases:
+                out = np.empty(x.shape)
+                rows = np.array_split(np.arange(x.shape[0]), threads)
+                done = [pool.submit(bessel_y0, x[r[0]:r[-1] + 1],
+                                    out=out[r[0]:r[-1] + 1]) for r in rows]
+                for f in done:
+                    f.result()
+                assert np.array_equal(out, sp.y0(x))
+        assert 1 <= len(started) <= threads
+        assert not any(t.is_alive() for t in started)
+        y = bessel_y0(2.5)
+        assert isinstance(y, float) and np.ndim(y) == 0
+        assert np.array_equal(y, sp.y0(2.5))
+
+    def test_one_thread_by_default(self, started):
+        x = np.full(4 << 15, 3.0)
+        assert np.array_equal(bessel_y0(x), sp.y0(x))
+        assert np.array_equal(bessel_y1(x), sp.y1(x))
+        assert started == []
 
     def test_kernel_threads_rule(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
