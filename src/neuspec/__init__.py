@@ -23,12 +23,11 @@ _EXPORTS = {
                  "arclength_spectral", "area", "build_grid", "charge_points",
                  "contains", "interior_grid"),
     "search": ("EigenResult", "SweepSample", "TensionSolver",
-               "inclusion_bounds", "localize_minimum", "mode_error_bound",
-               "parabolic_min", "sweep", "weyl_index"),
+               "inclusion_bounds", "localize_minimum", "parabolic_min",
+               "sweep", "weyl_index"),
     "special": ("bessel_jn", "bessel_jn_prime", "bessel_y0", "bessel_y1",
                 "jnprime_zero", "jnprime_zeros", "jnprime_zeros_upto"),
-    "tension": ("TensionEval", "classical_tension", "min_tension",
-                "tension_of"),
+    "tension": ("TensionEval", "classical_tension", "min_tension"),
     "weights": ("LowRankFilter", "build_filter_matrix", "f_weight",
                 "g_weight"),
 }

@@ -94,16 +94,13 @@ def point_source_sum(charges, alpha, E, points):
     A pipeline over blocks of 65536 // N rows (gemv rounding depends on the
     row count, so the blocks keep this size).  :func:`kernel_threads`
     workers fill a ring of 2 x threads slots, allocated here once, with a
-    block's Y0 values: ``k * sqrt(dx*dx + dy*dy)`` formed in place (the
-    same operations, so the same bits), then ``special.bessel_y0``.  The
-    caller takes the blocks in order, forms ``Y @ alpha`` and hands the
-    slot on.  Only that gemv runs beside the core OpenBLAS spins on for
-    about 0.1 s after each call: lobe-mode's sum took 568 ms, against 829
-    ms with the distances on the caller and only Y0 split (2 vCPUs).
-    Memory is the ring's, 4 MB at two threads for any raster (arrays made
-    on the workers would grow glibc's per-thread arenas).  One thread
-    fills the blocks inline and starts none.  A point on a charge raises
-    the worker's ``DomainError``."""
+    block's ``special.bessel_y0(k * sqrt(dx*dx + dy*dy))`` formed in place.
+    The caller takes the blocks in order, forms ``Y @ alpha`` and hands the
+    slot on, so only that gemv runs beside the core OpenBLAS spins on after
+    each call.  Memory is the ring's, 4 MB at two threads for any raster
+    (arrays made on the workers would grow glibc's per-thread arenas).  One
+    thread fills the blocks inline and starts none.  A point on a charge
+    raises the worker's ``DomainError``."""
     k = np.sqrt(E)
     points = np.asarray(points, dtype=float)
     out = np.empty(len(points))

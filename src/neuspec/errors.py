@@ -74,10 +74,6 @@ class ConvergenceFailureError(NeuspecError):
         super().__init__(message)
 
 
-class IllSeparatedError(NeuspecError):
-    """Two energies are too close to divide by their difference."""
-
-
 class IncompleteEnumerationError(NeuspecError):
     """Mode enumeration hit the angular-order cap before exhausting a window."""
 

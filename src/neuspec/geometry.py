@@ -101,7 +101,7 @@ class RadialCurve:
 
     def velocity(self, t):
         """d/dt of :meth:`position`."""
-        t = np.asarray(t, dtype=complex)
+        t = np.asarray(t)
         return (self.radius_deriv(t) + 1j * self.radius(t)) * np.exp(1j * t)
 
     # -- internals -----------------------------------------------------------
@@ -199,11 +199,10 @@ def build_grid(curve, M):
     if M < 8 or M % 2:
         raise InvalidCurveError("M must be an even integer >= 8")
     t = 2 * np.pi * np.arange(M) / M
-    r = curve.radius(t)
-    if np.min(r) <= 0:
+    if np.min(curve.radius(t)) <= 0:
         raise InvalidCurveError("non-positive radius sample")
-    z = r * np.exp(1j * t)
-    zp = (curve.radius_deriv(t) + 1j * r) * np.exp(1j * t)
+    z = curve.position(t)
+    zp = curve.velocity(t)
     speed = np.abs(zp)
     w = 2 * np.pi * speed / M
     tng_c = zp / speed
@@ -229,7 +228,7 @@ def charge_points(curve, N, tau):
     theta = 2 * np.pi * (np.arange(N) / N - 1j * tau)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow for absurd tau is caught by the finiteness check below
-        z = curve.radius(theta) * np.exp(1j * theta)
+        z = curve.position(theta)
     y = np.stack([z.real, z.imag], axis=1)
     with np.errstate(invalid="ignore"):
         # strictly outside, so a point on the boundary fails too; a nan
@@ -243,9 +242,13 @@ def charge_points(curve, N, tau):
 
 
 def contains(curve, p):
-    """True iff p lies strictly inside the curve."""
+    """Whether the points p, an array of shape (..., 2), lie strictly inside
+    the curve: a bool array of shape p.shape[:-1], or one bool for one
+    point."""
     p = np.asarray(p, dtype=float)
-    return bool(np.hypot(p[0], p[1]) < curve.radius(np.arctan2(p[1], p[0])))
+    x, y = p[..., 0], p[..., 1]
+    inside = np.hypot(x, y) < curve.radius(np.arctan2(y, x))
+    return bool(inside) if inside.ndim == 0 else inside
 
 
 def interior_grid(curve, nx):
@@ -259,10 +262,7 @@ def interior_grid(curve, nx):
     z = curve.position(t)
     xs = np.linspace(z.real.min(), z.real.max(), nx)
     ys = np.linspace(z.imag.min(), z.imag.max(), nx)
-    X, Y = np.meshgrid(xs, ys)
-    rad = np.hypot(X, Y)
-    ang = np.arctan2(Y, X)
-    inside = rad < curve.radius(ang)
+    inside = contains(curve, np.stack(np.meshgrid(xs, ys), axis=-1))
     return InteriorGrid(xs=xs, ys=ys, inside=inside)
 
 

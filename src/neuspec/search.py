@@ -1,39 +1,25 @@
 """Energy sweeps, minimum localization, and certified inclusion bounds.
 
-The minimum tension as a function of energy looks like a slightly rounded
-absolute-value graph near each Neumann eigenvalue, so its square is locally
-parabolic: the search keeps a bracketing triple of t^2(E) ordinates, jumps to
-the fitted parabola's vertex, and falls back to golden-section steps for
-non-convex configurations.  ``localize_minimum`` can first sample the bracket
-on a coarse grid (the presolve) and keep the neighbours of the smallest
-tension; the search starts from those two samples and the smallest between
-them without evaluating them again.  Located minima convert to bounds:
+Near each Neumann eigenvalue E_j the minimum tension is a slightly rounded
+V, t(E) ~ s |E - E_j| with a slope s independent of E (the paper's
+comparable upper and lower bounds), so ``parabolic_min`` minimizes t^2(E),
+optionally from the smallest sample of a coarse grid (the presolve) and its
+neighbours.  Each evaluation yields the weighted t_min and the classical
+t_clas of its minimizer from one assembled system; nothing is kept between
+evaluations.  Located minima convert to bounds on the distance from E to
+the Neumann spectrum, in energy units:
 
     eps_new  = C_est * t_min          (C_est = 1.6)
     eps_clas = C_enn * E * t_clas     (C_enn = 7.4)
 
-both bounding the distance from E to the Neumann spectrum in energy units.
-Each evaluation returns both tensions of its minimizer, the weighted t_min
-and the classical t_clas, from one assembled system; nothing is kept between
-evaluations.
-
-The reported slope s of t vs E is a diagnostic that no bound reads.  The
-comparable upper and lower bounds make t(E) ~ s |E - E_j| with s independent
-of E, so s is read off the samples the search already holds, as the secant
-(t_n - t*) / |E_n - E*| from the minimum E* to the refinement sample E_n
-nearest it, and costs no evaluation.  Only the search's own samples are used,
-so the walk and the whole-grid presolve, which hand the search the same three
-samples, give the same slope.  On the disc (M=256, N=128, exact s =
-2^(-1/2) = 0.7071) it read 0.7055 on [32.4, 32.6] at tau=0.1, 0.7071 on
-(32.52, 32.55) without a presolve and 0.7071 around j'_{8,6} at tau=0.05; on
-the three-lobe solve of criterion 4 it reads 0.6474.
+The reported slope is a diagnostic that no bound reads: the secant from the
+minimum to the nearest of the search's own samples (on the disc, s = 2^-1/2).
 
 The paper's bound holds for the exact tension; the computed one carries a
-rounding error of a few u*E (u = 2^-53, unit roundoff of binary64) from the
-Bessel kernels and from k = fl(sqrt(E)), which moves the floor of the computed
-V off the eigenvalue.  Near that floor the error exceeds the bound's margin (on
-the disc t ~ |E - E_j|/sqrt(2), so C_est = 1.6 leaves 13 %), so
-``localize_minimum`` certifies from a tension rounded up by the allowance
+rounding error of a few u*E (u = 2^-53) from the Bessel kernels and from
+k = fl(sqrt(E)), which moves the floor of the computed V off the eigenvalue
+by more than the bound's margin (on the disc C_est = 1.6 leaves 13 %).  So
+``localize_minimum`` certifies from a tension rounded up by
 
     delta_t = T_ROUNDING_ULPS * u * E      (T_ROUNDING_ULPS = 10)
 
@@ -41,36 +27,27 @@ The allowance is empirical, not proved.  It was sized from exact disc
 eigenvalues (M=256, N=128): over 320 jittered brackets around j'_{30,1}
 (tau=0.1 and 0.05), j'_{9,7} (tau=0.1), j'_{20,2} (tau=0.05 and 0.07),
 j'_{8,6} and j'_{15,3} (tau=0.05), C_est * t(E) fell short of |E - E_j| by at
-most 4.0 u*E; delta_t adds 16 u*E to eps_new, four times that.  Sweeps and
-single evaluations report the computed tension unchanged.
+most 4.0 u*E; delta_t adds 16 u*E to eps_new, four times that.
 
-The presolve grid is filled lazily.  The comparable upper and lower bounds
-make the tension locally t(E) ~ s |E - E_j| with a slope s independent of E,
-so the two grid ends predict the dip E0 = E_lo + t_lo (E_hi - E_lo) /
-(t_lo + t_hi) of a symmetric V.  The presolve samples the grid point nearest
-E0 and its two neighbours, and walks one grid point further while the
-smallest sample sits on an edge of the sampled run.  With b the smallest
-sample, the V through its neighbours has slope s = (t_{b-1} + t_{b+1}) /
-(E_{b+1} - E_{b-1}) and dip E_d = E_{b-1} + t_{b-1} / s; the isolation check
-asks that both ends lie on it,
+The presolve samples its coarse grid lazily (``_v_walk``): the grid ends,
+then a walk from the dip of the V through them to the smallest sample b.
+The rest of the grid is sampled unless the V through b's neighbours, of
+slope s and dip E_d, passes through both grid ends:
 
     |t_end / (s |E_end - E_d|) - 1| <= V_FIT_TOL      (V_FIT_TOL = 0.02)
 
-Whenever a sample fails, the smallest sample is a grid end, or the check
-fails, the rest of the grid is sampled, and the presolve proceeds as if it had
-sampled the whole grid.  When the check passes, the skipped samples lie on the
-V away from b, so the smallest sample and its neighbours are those of the
-whole grid.  The tolerance is empirical, not proved.  It was sized on 21-point
-grids: 4 jittered brackets inside [40.50, 40.55] on the three-lobe domain
-(M=700, N=350, tau=0.025) read end ratios within 3e-4 of 1, and 11 disc
-brackets with one dip each, around j'_{30,1} (tau=0.1) and j'_{20,2},
-j'_{8,6}, j'_{15,3} (tau=0.05) at M=256, N=128, within 0.0036 of 1; all 15
-took 5 samples and returned the whole grid's result bit for bit.  The two-dip bracket
-[32.4, 32.6] (j'_{9,7} and j'_{30,1}) read 0.66, and on the bracket around
-the narrow dip at j'_{20,2} (tau=0.1) the walk's smallest sample was its
-upper end, so both sampled the whole grid.  Over 120 random disc brackets
-of width 0.03 to 0.25 in [20, 34], mostly holding several eigenvalues, the
-check never passed on a walk whose minimum differed from the whole grid's.
+Then the skipped samples lie on the V away from b, so b and its neighbours
+are those of the whole grid.  The tolerance is empirical, not proved.  It
+was sized on 21-point grids: 4 jittered brackets inside [40.50, 40.55] on
+the three-lobe domain (M=700, N=350, tau=0.025) read end ratios within 3e-4
+of 1, and 11 disc brackets with one dip each, around j'_{30,1} (tau=0.1) and
+j'_{20,2}, j'_{8,6}, j'_{15,3} (tau=0.05) at M=256, N=128, within 0.0036 of
+1; all 15 took 5 samples and returned the whole grid's result bit for bit.
+The two-dip bracket [32.4, 32.6] (j'_{9,7} and j'_{30,1}) read 0.66, and the
+narrow dip at j'_{20,2} (tau=0.1) left b on the grid's upper end, so both
+sampled the whole grid.  Over 120 random disc brackets of width 0.03 to 0.25
+in [20, 34], mostly holding several eigenvalues, the check never passed on a
+walk whose minimum differed from the whole grid's.
 """
 
 import math
@@ -79,8 +56,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import SystemBuilder
-from .errors import (ConvergenceFailureError, IllSeparatedError, NeuspecError,
-                     NumericalError)
+from .errors import ConvergenceFailureError, NeuspecError, NumericalError
 from .geometry import area, arclength_spectral
 from .tension import EPS_DEFAULT, classical_tension, min_tension
 
@@ -113,19 +89,16 @@ class SweepSample:
 class EigenResult:
     """One certified tension minimum.
 
-    ``t_min`` bounds the exact tension at ``E`` from above: it is the computed
-    minimum tension plus the rounding allowance ``T_ROUNDING_ULPS * u * E``
-    (see the module docstring), and ``eps_new = c_est * t_min``.  ``alpha``,
-    ``t_classical``, ``t_second`` (the second-smallest tension, small where
-    the eigenvalue is degenerate) and ``slope`` come from the computed
-    tensions themselves; ``slope`` is the secant from the minimum to the
-    refinement sample nearest it.
-    ``converged`` is False when the search ran out of evaluations or ended
-    on a bracket end, where the bounds describe the end, not a dip.
-    ``presolve_failures`` lists the (sqrtE, message) of presolve samples
-    whose evaluation failed, in grid order; ``n_presolve`` counts the grid
-    samples evaluated, failed ones included, and ``n_reused`` the search
-    samples taken from them.
+    ``t_min`` is the computed minimum tension rounded up by
+    ``T_ROUNDING_ULPS * u * E`` (module docstring), so it bounds the exact
+    tension at ``E``, and ``eps_new = c_est * t_min``.  ``alpha``,
+    ``t_classical``, ``t_second`` (small where the eigenvalue is degenerate)
+    and ``slope`` come from the computed tensions.  ``converged`` is False
+    when the search ran out of evaluations or ended on a bracket end, where
+    the bounds describe the end, not a dip.  ``presolve_failures`` lists the
+    (sqrtE, message) of failed presolve samples in grid order; ``n_presolve``
+    counts the grid samples evaluated, failed ones included, and
+    ``n_reused`` the search samples taken from them.
     """
 
     sqrtE: float
@@ -169,15 +142,27 @@ class TensionSolver:
         """TensionEval at energy E, with coefficients normalized to unit
         interior norm, their classical tension and the rank of H."""
         system = self.builder.system(E)
-        ev = min_tension(system.A_w, system.B, eps=self.eps, energy=E)
-        return replace(ev, t_classical=classical_tension(ev.alpha, system.A_nor,
-                                                         system.B),
-                       rank_H=system.rank_H)
+        ev = min_tension(system.A_w, system.B, eps=self.eps)
+        return replace(ev, E=float(E), rank_H=system.rank_H,
+                       t_classical=classical_tension(ev.alpha, system.A_nor,
+                                                     system.B))
 
     def classical(self, E, alpha):
         """Classical (unweighted) tension of the coefficients alpha at E."""
         system = self.builder.system(E)
         return classical_tension(alpha, system.A_nor, system.B)
+
+
+def _attempt(solver, E):
+    """(evaluation, None) at energy E, or (None, message) when it fails
+    numerically.  An input error, a ``NeuspecError`` that is also a
+    ``ValueError``, propagates."""
+    try:
+        return solver.evaluate(E), None
+    except NeuspecError as exc:
+        if isinstance(exc, ValueError):
+            raise
+        return None, str(exc)
 
 
 def sweep(curve, M, N, tau, sqrtE_min, sqrtE_max, steps, eps=EPS_DEFAULT):
@@ -193,17 +178,15 @@ def sweep(curve, M, N, tau, sqrtE_min, sqrtE_max, steps, eps=EPS_DEFAULT):
     solver = TensionSolver(curve, M, N, tau, eps=eps)
     out = []
     for f in np.linspace(sqrtE_min, sqrtE_max, steps):
-        try:
-            ev = solver.evaluate(f * f)
+        ev, error = _attempt(solver, f * f)
+        if error is None:
             out.append(SweepSample(sqrtE=float(f), t_min=ev.t_min,
                                    rank_eps=ev.rank_eps, c_min=ev.c_min,
                                    rank_H=ev.rank_H))
-        except NeuspecError as exc:
-            if isinstance(exc, ValueError):
-                raise
+        else:
             out.append(SweepSample(sqrtE=float(f), t_min=float("nan"),
                                    rank_eps=0, c_min=float("nan"), rank_H=0,
-                                   error=str(exc)))
+                                   error=error))
     return out
 
 
@@ -331,16 +314,6 @@ def inclusion_bounds(E, t_min, t_clas, c_est=C_EST_DEFAULT,
     return c_est * t_min, c_ennenbach * E * t_clas
 
 
-def mode_error_bound(t_min, E, E_star, c_est=C_EST_DEFAULT):
-    """Bound on the relative distance of the trial function from the nearest
-    eigenspace, C t / |E - E_star| with E_star the next-closest eigenvalue.
-    The constant reuses C_est; no sharper explicit value is available."""
-    gap = abs(E - E_star)
-    if gap < 1e-12 * abs(E):
-        raise IllSeparatedError("E and E_star are numerically indistinguishable")
-    return c_est * t_min / gap
-
-
 def weyl_index(curve, E):
     """Two-term eigenvalue-count estimate |Omega| E / 4pi + |dOmega| sqrt(E) / 4pi
     (Neumann sign: boundary term positive)."""
@@ -355,31 +328,16 @@ def localize_minimum(curve, M, N, tau, bracket, tol=TOL_DEFAULT,
                      c_ennenbach=C_ENNENBACH_DEFAULT, solver=None, coarse=0):
     """Locate one tension minimum inside a frequency bracket and certify it.
 
-    ``bracket`` is (sqrtE_lo, sqrtE_hi).  With ``coarse >= 3`` it is first
-    narrowed to the two neighbours of the smallest tension on a grid of
-    ``coarse`` equispaced frequencies (the presolve); the search starts from
-    those two samples and the smallest between them, and reuses all three
-    (the midpoint of the two replaces the middle sample when it failed).
-    ``coarse=0`` skips the presolve; 1, 2 and negative values raise
-    ``ValueError``.  The presolve samples the grid ends, then walks from the
-    dip a V through the ends predicts, and samples the rest of the grid only
-    when the V-fit isolation check (``V_FIT_TOL``, see the module docstring)
-    cannot vouch that the walk found the grid's minimum.  ``n_presolve``
-    counts the samples taken and ``n_reused`` those the search reuses.
-    Without a presolve the bracket should contain exactly one local minimum
-    (use a sweep to isolate one).  Presolve samples that fail numerically
-    are skipped and listed in ``presolve_failures``, input errors (each a
-    ``ValueError``) propagate, and all failing raises ``NumericalError``.
-    The search runs in energy E, its parabola fitted to t^2.  The slope of
-    t vs E is the secant from the minimum to the refinement sample nearest
-    it, and the inclusion bounds are attached.  The bounds use the computed
-    minimum tension rounded up by the empirical allowance
-    ``T_ROUNDING_ULPS * u * E`` for its rounding error, so that the returned
-    ``t_min`` bounds the exact tension and ``eps_new`` keeps the form
-    ``c_est * t_min``.  If the evaluation budget runs out, or the minimum
+    ``bracket`` is (sqrtE_lo, sqrtE_hi).  ``coarse >= 3`` first runs the
+    presolve (module docstring) on a grid of ``coarse`` equispaced
+    frequencies; ``coarse=0`` skips it, and the bracket should then contain
+    exactly one local minimum (use a sweep to isolate one); 1, 2 and
+    negative values raise ``ValueError``.  Presolve samples that fail
+    numerically are skipped and listed in ``presolve_failures``, input
+    errors (each a ``ValueError``) propagate, and all failing raises
+    ``NumericalError``.  If the evaluation budget runs out, or the minimum
     lands on a bracket end (the tension falls toward it, so the dip may lie
-    outside), the best iterate is still returned, marked
-    ``converged=False``.
+    outside), the best iterate is still returned, marked ``converged=False``.
     """
     f_lo, f_hi = bracket
     if not 0 < f_lo < f_hi:
@@ -402,16 +360,9 @@ def localize_minimum(curve, M, N, tau, bracket, tol=TOL_DEFAULT,
         def sample(i):
             """Evaluate grid point i once; whether it succeeded."""
             if i not in tried:
-                E = Es[i]
-                try:
-                    ev = solver.evaluate(E)
-                except NeuspecError as exc:
-                    if isinstance(exc, ValueError):
-                        raise
-                    tried[i] = str(exc)
-                else:
-                    tried[i] = None
-                    evals[E] = ev
+                ev, tried[i] = _attempt(solver, Es[i])
+                if ev is not None:
+                    evals[Es[i]] = ev
                     ts[i] = ev.t_min
             return tried[i] is None
 

@@ -1,27 +1,16 @@
 """Bessel functions and zeros of J_n', all taken from scipy.special.
 
 Y0, Y1, J_n and J_n' are ``y0``, ``y1``, ``jv`` and ``jvp`` (Cephes/AMOS
-kernels, relative error well inside the 1e-13/1e-12 budgets; the test suite
-checks them against a high-precision series oracle and standard
-identities).  The zeros of J_n' are ``jnp_zeros`` (Zhang & Jin, Computation
-of Special Functions, 1996, ch. 5: Newton iteration from asymptotic
-starting values).  Against mpmath's ``besseljzero`` at 40 digits they lie
-within 0.98 ulp on 72 zeros (n in {0, 1, 3, 9, 20, 30, 60, 120, 200},
-l <= 8), and the test suite holds 32 of them to 2 ulp.  Supported ranges
-are capped at what the solver and the disc reference data need;
-out-of-range orders raise instead of degrading.
+kernels, relative error well inside the 1e-13/1e-12 budgets), the zeros of
+J_n' ``jnp_zeros`` (Zhang & Jin, Computation of Special Functions, 1996,
+ch. 5); the tests check them against series, identities and mpmath.  The
+ranges are capped at what the solver and the disc data need; out-of-range
+arguments raise instead of degrading.
 
-Y0 and Y1 are the kernels of every assembly, and Y0 that of the ``mode``
-raster, which alone runs on :func:`kernel_threads` threads: the count BLAS
-is told to use (what ``--threads`` exports), else every core the process
-may use, never more.  Those threads live in ``assembly.point_source_sum``,
-a pipeline whose workers fill a ring of blocks through :func:`bessel_y0`
-with ``out=``; scipy's loops release the interpreter lock and take each
-element on its own, so the values are bit-equal for any count.  OpenBLAS's
-idle threads spin on the other cores for about 0.1 s after each call, so
-the workers form the distances too (lobe-mode's sum: 568 ms, against 829
-ms with only Y0 split) and an evaluation's traces take one thread (a split
-Y0 call there measured 11.1 ms against 10.3 ms unsplit, M=700, 2 cores).
+Y0 and Y1 are the kernels of every assembly.  Only the ``mode`` raster's Y0
+runs on several threads, :func:`kernel_threads` of them, in the workers of
+``assembly.point_source_sum``; scipy's loops release the interpreter lock
+and take each element on its own, so the values are bit-equal for any count.
 """
 
 import os
@@ -89,22 +78,22 @@ def _check_order(n):
     return n
 
 
-def bessel_jn(n, x):
-    """J_n(x) for integer 0 <= n <= 200 and 0 <= x <= 1e4."""
+def _check_jn_args(n, x):
     n = _check_order(n)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0) or np.any(x > _X_MAX):
         raise DomainError(f"argument must be in [0, {_X_MAX:g}]")
-    return _sp.jv(n, x)
+    return n, x
+
+
+def bessel_jn(n, x):
+    """J_n(x) for integer 0 <= n <= 200 and 0 <= x <= 1e4."""
+    return _sp.jv(*_check_jn_args(n, x))
 
 
 def bessel_jn_prime(n, x):
     """J_n'(x) for integer 0 <= n <= 200 and 0 <= x <= 1e4."""
-    n = _check_order(n)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x > _X_MAX):
-        raise DomainError(f"argument must be in [0, {_X_MAX:g}]")
-    return _sp.jvp(n, x)
+    return _sp.jvp(*_check_jn_args(n, x))
 
 
 def jnprime_zero(n, l):

@@ -1,48 +1,37 @@
 """Minimum weighted tension over the trial space at a fixed energy.
 
-The ratio ||A_w a|| / ||B a|| is minimized through an orthonormal basis Q of
-the column space of the stack [A_w; B], split into the rows belonging to A_w
-and to B.  Because Q has orthonormal columns, ||Q_A b||^2 + ||Q_B b||^2 =
-||b||^2, so the minimizer of ||Q_A b||/||Q_B b|| is the smallest right
-singular vector of Q_A alone (the CS-decomposition shortcut; no general GSVD
-kernel needed), and the minimum equals c/sqrt(1 - c^2) at the smallest
-singular value c.  The second-smallest value c[-2] gives the second-smallest
-tension the same way; it is small too where the eigenvalue is degenerate.
+The ratio ||A_w a|| / ||B a|| is minimized through an orthonormal basis of
+the column space of the stack [A_w; B], split into the rows Q_A of A_w and
+Q_B of B.  Since Q_A^T Q_A + Q_B^T Q_B = I (the CS decomposition; Paige &
+Saunders, SIAM J. Numer. Anal. 18, 1981), the minimizer is the smallest
+right singular vector of Q_A alone, and the minimum is c/sqrt(1 - c^2) at
+its smallest singular value c; c[-2] gives the second-smallest tension the
+same way, small too where the eigenvalue is degenerate.  Q_A's SVD is taken
+on the row space of Q_B, the only one with c < 1 (see ``min_tension``).
 
-A_w (M x N) is first reduced to the N x N triangular factor R of its QR
-decomposition A_w = Q R (zero rows pad R when M < N), the standard reduction
-of the method of particular solutions (Betcke & Trefethen, SIAM Review 47,
-2005).  Q has orthonormal columns, so [R; B] has the same singular values and
-right factor as [A_w; B], and its orthonormal column basis restricted to the
-R rows gives Q_A up to the rotation Q, which leaves the singular values and
-right vectors of Q_A unchanged.  Every factorization below acts on blocks of
-N or N + rank(B) rows instead of M.
+A_w (M x N) is first reduced to the N x N factor R of A_w = Q R (zero rows
+pad R when M < N), the standard reduction of the method of particular
+solutions (Betcke & Trefethen, SIAM Review 47, 2005): [R; B] has the
+singular values and right factor of [A_w; B].  Its basis comes from the
+Householder QR [R; B] = Q2 R2, with alpha = R2^{-1} beta, when R2 is
+numerically nonsingular.  Otherwise a basis of the whole column space would
+carry directions amplified by 1/sigma_min, and the code takes the truncated
+SVD of R2 instead, dropping singular values below ``eps`` (``EPS_DEFAULT``
+= 1e-14) times the largest (Betcke, SIAM J. Sci. Comput. 30, 2008);
+``rank_eps`` counts the kept ones, N on the QR path.
 
-The basis of the stack comes from its Householder QR [R; B] = Q2 R2.  When
-R2 is numerically nonsingular, Q_A is the top N rows of Q2 and alpha =
-R2^{-1} beta, and no SVD of the stack is needed: at N = 700 (the three-lobe
-stack below at M=1400) the QR took 71 ms against 257 ms for the stack's
-SVD, and on random stacks of 1.5 N rows 0.46 s against 1.7 s at N = 1400
-and 2.1 s against 8.4 s at N = 2500 (two threads).  When the stack is (close to) rank-deficient, a basis of
-its whole column space would carry directions amplified by 1/sigma_min, so
-the code falls back to the truncated SVD of the stack, taken as the SVD of
-R2 = Ur diag(sig) Wt (the stack's left factor is Q2 Ur): singular values
-below ``eps`` (``EPS_DEFAULT`` = 1e-14 unless a caller sets it) times the
-largest are dropped, the regularization of Betcke (SIAM J. Sci. Comput. 30,
-2008), and ``rank_eps`` counts the kept ones.  The QR path keeps all N
-(``rank_eps = N``); it is taken when LAPACK's 1-norm condition estimate of
-R2 (``trcon``) satisfies
+The QR path is taken when LAPACK's 1-norm condition estimate of R2
+(``trcon``) satisfies
 
     cond_est(R2) * eps < QR_COND_LIMIT      (QR_COND_LIMIT = 1)
 
-that is, when the estimate itself lies below the SVD cutoff 1/eps.  The
-margin below the cutoff comes from the estimate reading high, which is
-measured, not proved (in the worst case it can read low by a factor of
-order N).  On the three-lobe domain (a0=1, eps=0.3, k=3, b=0.2) it read 4
-to 37 times the stack's true 2-norm condition number in all nine stacks
-measured, so every stack the QR path admitted had a true condition number
-at least 4 times below 1/eps = 1e14, where the truncated SVD keeps every
-singular value:
+that is, when the estimate lies below the SVD cutoff 1/eps.  The margin
+comes from the estimate reading high, which is measured, not proved (in the
+worst case it can read low by a factor of order N).  On the three-lobe
+domain (a0=1, eps=0.3, k=3, b=0.2) it read 4 to 37 times the stack's true
+2-norm condition number in all nine stacks measured, so every stack the QR
+path admitted had a true condition number at least 4 times below
+1/eps = 1e14, where the truncated SVD keeps every singular value:
 
     M     N     tau      sqrtE   cond_est  true cond  rank_eps (SVD)
     700   350   0.02     40.53   9.7e9     1.2e9      350
@@ -56,28 +45,9 @@ singular value:
     5000  2500  0.004    405.0   7.0e13    8.9e12     2500
 
 At tau = 0.03 (fallback) both paths gave t_min = 0.00606052 to 6 digits.
-On the unit disc at M=256, N=128, tau=0.1, at nine energies with sqrtE in
-[27.708, 27.748], the estimates read 1.2e14 to 2.8e14, 21 to 26 times the
-true 5.5e12 to 1.1e13, so those stacks take the fallback.
-
-Only the row space of Q_B carries singular values below 1.  Since
-Q_A^T Q_A + Q_B^T Q_B = I (the CS decomposition; Paige & Saunders, SIAM J.
-Numer. Anal. 18, 1981), a unit vector orthogonal to the rows of Q_B has
-||Q_A b|| = 1, so exactly rank_eps - rank(Q_B) singular values of Q_A equal 1
-and neither c_min nor c[-2] can come from them.  ``min_tension`` therefore
-takes W, an orthonormal basis of the row space of Q_B from the QR of Q_B^T,
-and the SVD of the N x rank_H block Q_A W (B has rank_H rows) instead of the
-N x N SVD of Q_A; the minimizer maps back through W.  The SVD is taken of the
-triangular factor of Q_A W, which has the same singular values and right
-vectors, so no left singular vectors are formed.  The stack's basis, and with
-it the backward error eps ||Q_A||, is unchanged.  On the three-lobe domain
-above Q_A has 177 of its 350 singular values equal to 1 at M=700 (rank_H =
-173) and 369 of 700 at M=1400 (rank_H = 331).  With two threads
-``min_tension`` took 49-52 ms against 54-60 ms with the SVD of Q_A at M=700,
-183-190 against 275-288 ms at M=1400 and 0.97-1.04 against 1.51-1.65 s at
-M=2800 (N=1400, rank_H = 635); on a random orthonormal Q_A, Q_B with N=2500
-and rank_H=1180 (criterion 10's size) the SVD step took 1.4-1.7 s against
-5.2-5.6 s.
+On the unit disc (M=256, N=128, tau=0.1, sqrtE in [27.708, 27.748]) the
+estimates read 21 to 26 times the true 5.5e12 to 1.1e13, so those stacks
+take the fallback.
 """
 
 from dataclasses import dataclass
@@ -101,9 +71,9 @@ class TensionEval:
     second-smallest tension, is then small too.  It is inf when the trial
     space has fewer than two directions or the second has no interior mass.
     ``t_classical`` is the classical tension of alpha and ``rank_H`` the
-    kept rank of the interior-norm form H (the rows of B); ``min_tension``
-    sees neither A_nor nor H and leaves them nan and 0,
-    ``TensionSolver.evaluate`` fills them in.
+    kept rank of the interior-norm form H (the rows of B).  ``min_tension``
+    sees neither E nor A_nor nor H and leaves ``E``, ``t_classical`` and
+    ``rank_H`` nan, nan and 0; ``TensionSolver.evaluate`` fills them in.
     """
 
     E: float
@@ -141,7 +111,7 @@ def _basis_rows(S, rows, eps):
             r_eps)
 
 
-def min_tension(A_w, B, eps=EPS_DEFAULT, energy=float("nan")):
+def min_tension(A_w, B, eps=EPS_DEFAULT):
     """Minimize ||A_w a|| / ||B a|| over coefficient vectors a.
 
     ``eps`` is the relative singular-value cutoff for the stacked matrix; it
@@ -182,19 +152,15 @@ def min_tension(A_w, B, eps=EPS_DEFAULT, energy=float("nan")):
     if bnorm == 0.0:
         raise NoInteriorMassError("minimizer has zero interior norm")
     alpha = alpha / bnorm
-    return TensionEval(E=float(energy), t_min=float(t_min), alpha=alpha,
+    return TensionEval(E=float("nan"), t_min=float(t_min), alpha=alpha,
                        rank_eps=r_eps, c_min=c_min, t_second=float(t_second))
 
 
-def tension_of(alpha, A_w, B):
-    """The ratio ||A_w alpha|| / ||B alpha|| for a given coefficient vector."""
+def classical_tension(alpha, A, B):
+    """The ratio ||A alpha|| / ||B alpha|| for a given coefficient vector:
+    with A = A_nor the unweighted (classical) boundary tension."""
     alpha = np.asarray(alpha, dtype=float)
     bnorm = np.linalg.norm(B @ alpha)
     if bnorm == 0.0:
         raise NoInteriorMassError("coefficient vector has zero interior norm")
-    return float(np.linalg.norm(A_w @ alpha) / bnorm)
-
-
-def classical_tension(alpha, A_nor, B):
-    """Unweighted boundary tension ||A_nor alpha|| / ||B alpha||."""
-    return tension_of(alpha, A_nor, B)
+    return float(np.linalg.norm(A @ alpha) / bnorm)

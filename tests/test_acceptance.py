@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from neuspec import (RadialCurve, cli, jnprime_zero, min_tension,
-                     quasi_orth_gram_norm, tension_of, weighted_ratio,
+from neuspec import (RadialCurve, classical_tension, cli, jnprime_zero,
+                     min_tension, quasi_orth_gram_norm, weighted_ratio,
                      weyl_index)
 from neuspec.disc import DiscMode, boundary_ratio
 from neuspec.geometry import arclength_spectral
@@ -141,7 +141,8 @@ def test_criterion_6_minimizer_oracle():
         lam = linalg.eigh(A.T @ A, B.T @ B, eigvals_only=True)
         brute = np.sqrt(max(lam[0], 0.0))
         worst_val = max(worst_val, abs(res.t_min - brute) / brute)
-        worst_att = max(worst_att, abs(tension_of(res.alpha, A, B) - res.t_min) / res.t_min)
+        worst_att = max(worst_att, abs(classical_tension(res.alpha, A, B)
+                                       - res.t_min) / res.t_min)
     wall = time.perf_counter() - t0
     ok = worst_val <= 1e-10 and worst_att <= 1e-10 and wall < 5.0
     report(6, ok, f"50 random instances vs dense brute force: value err {worst_val:.2e}, "

@@ -177,6 +177,19 @@ class TestContainsInteriorArea:
         for m in range(16):
             assert not contains(disc, g.x[m])  # boundary excluded, strict
 
+    def test_contains_one_point_is_one_bool(self, wobbly):
+        assert contains(wobbly, (0.1, 0.2)) is True
+        assert contains(wobbly, np.array([5.0, 0.0])) is False
+
+    @pytest.mark.parametrize("name", ["disc", "wobbly"])
+    def test_interior_grid_is_contains_on_raster(self, name, request):
+        curve = request.getfixturevalue(name)
+        ig = interior_grid(curve, 41)
+        per_point = [[contains(curve, (x, y)) for x in ig.xs] for y in ig.ys]
+        assert np.array_equal(ig.inside, per_point)
+        inside = contains(curve, ig.points)
+        assert inside.shape == (len(ig.points),) and inside.all()
+
     def test_interior_grid_center_only(self, disc):
         ig = interior_grid(disc, 3)
         assert ig.inside.sum() == 1

@@ -8,8 +8,8 @@ import neuspec.search
 from neuspec import (EigenResult, SystemBuilder, TensionSolver,
                      classical_tension, disc_modes_in_window, inclusion_bounds,
                      jnprime_zero, jnprime_zeros_upto, localize_minimum,
-                     mode_error_bound, parabolic_min, sweep, weyl_index)
-from neuspec.errors import IllSeparatedError, NumericalError, RankCollapseError
+                     parabolic_min, sweep, weyl_index)
+from neuspec.errors import NumericalError, RankCollapseError
 
 MU_30_1 = 32.534223556790142
 
@@ -122,6 +122,18 @@ class TestLocalizeMinimum:
         res = localize_minimum(disc, 256, 128, 0.1, (lo, hi))
         assert res.E == hi ** 2
         assert not res.converged
+
+    @pytest.mark.xfail(strict=True, reason="charges too far out: the presolve "
+                       "lands on a noise minimum and certifies it")
+    def test_far_charges_certificate_contains_eigenvalue(self, wobbly):
+        # at tau=0.04 the search converges on a noise minimum several times
+        # eps_new from the eigenvalue 40.53011549421899^2 (how many depends
+        # on the BLAS thread count); a result may miss only when it says it
+        # has not converged
+        res = localize_minimum(wobbly, 700, 350, 0.04, (40.50, 40.55),
+                               coarse=21)
+        assert (not res.converged
+                or abs(res.E - 40.53011549421899 ** 2) <= res.eps_new)
 
     def test_returned_min_not_above_any_sample(self, disc):
         solver = TensionSolver(disc, 256, 128, 0.1)
@@ -330,6 +342,10 @@ class TestStatelessSolver:
         assert again.t_classical == first.t_classical
         assert np.array_equal(again.alpha, first.alpha)
 
+    def test_evaluation_records_its_energy(self, disc):
+        E = 3.82 ** 2
+        assert TensionSolver(disc, 64, 32, 0.1).evaluate(E).E == E
+
     def test_classical_tension_matches_fresh_system(self, disc):
         E = 3.82 ** 2
         ev = TensionSolver(disc, 64, 32, 0.1).evaluate(E)
@@ -405,18 +421,6 @@ class TestBounds:
         eps_new, eps_clas = inclusion_bounds(2.0, 1.0, 1.0, c_est=2.5, c_ennenbach=3.0)
         assert eps_new == 2.5
         assert eps_clas == 6.0
-
-    def test_mode_error_bound(self):
-        E1 = jnprime_zero(30, 1) ** 2
-        E2 = jnprime_zero(30, 2) ** 2
-        val = mode_error_bound(1e-10, E1, E2)
-        assert 0 < val < 1e-10
-        assert mode_error_bound(0.0, E1, E2) == 0.0
-        with pytest.raises(IllSeparatedError):
-            mode_error_bound(1e-10, E1, E1 * (1 + 1e-15))
-
-    def test_monotone_in_gap(self):
-        assert mode_error_bound(1e-8, 100.0, 101.0) > mode_error_bound(1e-8, 100.0, 150.0)
 
 
 class TestWeylIndex:
