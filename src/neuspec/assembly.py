@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .errors import (DegenerateNormError, InvalidCurveError,
+from .errors import (DegenerateNormError, DomainError, InvalidCurveError,
                      SingularKernelError)
 from .geometry import build_grid, charge_points
 from .special import bessel_y0, bessel_y1, kernel_threads
@@ -168,7 +168,7 @@ class SystemBuilder:
         grad phi_n(x) = -sqrt(E) Y1(sqrt(E)|x - y_n|) (x - y_n)/|x - y_n|.
         """
         if not E > 0:
-            raise ValueError("E must be positive")
+            raise DomainError("E must be positive")
         k = np.sqrt(E)
         kd = k * self._dist
         sw_y1 = self._sw * (-k * bessel_y1(kd))

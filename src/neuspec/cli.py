@@ -154,6 +154,26 @@ def _given(args, **options):
             if getattr(args, opt) is not None}
 
 
+def _add_system(p):
+    """The discretization flags, read by :func:`_solver`."""
+    p.add_argument("--curve")
+    p.add_argument("--M", type=int)
+    p.add_argument("--N", type=int)
+    p.add_argument("--tau", type=float)
+    p.add_argument("--eps", type=float)
+
+
+def _solver(args):
+    """The ``TensionSolver`` of the discretization flags: the one place the
+    CLI builds one."""
+    _require(args, "curve", "M", "N", "tau")
+    curve = parse_curve(args.curve)
+    from .search import TensionSolver
+
+    return TensionSolver(curve, args.M, args.N, args.tau,
+                         **_given(args, eps="eps"))
+
+
 def _add_common(p):
     p.add_argument("--config", help="key=value file pre-populating flags (flags win)")
     p.add_argument("--threads", type=int, help="pin BLAS thread count (>= 1)")
@@ -168,39 +188,27 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="tension samples over a frequency window")
-    p.add_argument("--curve")
     p.add_argument("--fmin", type=float)
     p.add_argument("--fmax", type=float)
     p.add_argument("--steps", type=int)
-    p.add_argument("--M", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--eps", type=float)
+    _add_system(p)
     _add_common(p)
 
     p = sub.add_parser("solve", help="localize one eigenvalue in a bracket")
-    p.add_argument("--curve")
     p.add_argument("--f0", type=float)
     p.add_argument("--f1", type=float)
-    p.add_argument("--M", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--tau", type=float)
     p.add_argument("--tol", type=float)
-    p.add_argument("--eps", type=float)
     p.add_argument("--cest", type=float)
     p.add_argument("--cenn", type=float)
     p.add_argument("--coarse", type=int, default=21,
                    help="presolve scan samples across the bracket")
+    _add_system(p)
     _add_common(p)
 
     p = sub.add_parser("mode", help="rasterize an eigenfunction on an interior grid")
-    p.add_argument("--curve")
     p.add_argument("--freq", type=float)
-    p.add_argument("--M", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--tau", type=float)
     p.add_argument("--nx", type=int)
-    p.add_argument("--eps", type=float)
+    _add_system(p)
     _add_common(p)
 
     p = sub.add_parser("disc-check", help="run the unit-disc identity suite")
@@ -211,16 +219,11 @@ def build_parser():
 
 
 def cmd_sweep(args):
-    _require(args, "curve", "fmin", "fmax", "steps", "M", "N", "tau", "out")
-    if args.steps < 2:
-        raise UsageError("--steps must be >= 2")
-    if not 0 < args.fmin < args.fmax:
-        raise UsageError("need 0 < fmin < fmax")
-    curve = parse_curve(args.curve)
+    _require(args, "fmin", "fmax", "steps", "out")
+    solver = _solver(args)
     from .search import sweep
 
-    samples = sweep(curve, args.M, args.N, args.tau, args.fmin, args.fmax,
-                    args.steps, **_given(args, eps="eps"))
+    samples = sweep(solver, args.fmin, args.fmax, args.steps)
     bad = [s for s in samples if not s.ok]
     for s in bad:
         print(f"sweep: evaluation failed at sqrtE={_fmt(s.sqrtE)}: {s.error}",
@@ -239,20 +242,17 @@ def cmd_sweep(args):
 
 
 def cmd_solve(args):
-    _require(args, "curve", "f0", "f1", "M", "N", "tau", "out")
-    if not 0 < args.f0 < args.f1:
-        raise UsageError("need 0 < f0 < f1")
+    _require(args, "f0", "f1", "out")
     if not (args.coarse == 0 or args.coarse >= 3):
         raise UsageError("--coarse must be 0 (no presolve) or at least 3")
-    curve = parse_curve(args.curve)
     from .search import localize_minimum
     from .special import kernel_threads
 
     t_start = time.perf_counter()
-    res = localize_minimum(curve, args.M, args.N, args.tau,
-                           (args.f0, args.f1), coarse=args.coarse,
-                           **_given(args, tol="tol", eps="eps",
-                                    c_est="cest", c_ennenbach="cenn"))
+    res = localize_minimum(_solver(args), (args.f0, args.f1),
+                           coarse=args.coarse,
+                           **_given(args, tol="tol", c_est="cest",
+                                    c_ennenbach="cenn"))
     for f, msg in res.presolve_failures:
         print(f"solve: presolve failed at sqrtE={_fmt(f)}: {msg}", file=sys.stderr)
     wall = time.perf_counter() - t_start
@@ -296,21 +296,18 @@ _MODE_CSV_ROWS = 4096
 
 
 def cmd_mode(args):
-    _require(args, "curve", "freq", "M", "N", "tau", "nx", "out")
+    _require(args, "freq", "nx", "out")
     # the library would take |freq| without complaint
     if not args.freq > 0:
         raise UsageError("--freq must be positive")
-    curve = parse_curve(args.curve)
+    solver = _solver(args)
     import numpy as np
 
     from .assembly import point_source_sum
     from .geometry import interior_grid
-    from .search import TensionSolver
 
     # built first, so a bad --nx is reported before any evaluation runs
-    grid = interior_grid(curve, args.nx)
-    solver = TensionSolver(curve, args.M, args.N, args.tau,
-                           **_given(args, eps="eps"))
+    grid = interior_grid(solver.curve, args.nx)
     ev = solver.evaluate(args.freq ** 2)
     vals = point_source_sum(solver.builder.charges, ev.alpha, args.freq ** 2,
                             grid.points)

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, IdentityViolationError,
-                     IncompleteEnumerationError, NeuspecError)
+from .errors import DomainError, IncompleteEnumerationError
 from .special import (_N_MAX, bessel_jn, bessel_jn_prime, jnprime_zeros,
                       jnprime_zeros_upto)
 from .weights import g_weight
@@ -92,20 +91,14 @@ def interior_norm_disc(mode):
 def boundary_ratio(mode):
     """Boundary-to-interior norm ratio of the mode.
 
-    Computed from the boundary trace |J_n(mu)| and :func:`interior_norm_disc`,
-    then checked against the exact value sqrt(2) (1 - h^2 n^2)^{-1/2} to
-    1e-10; a violation signals a Bessel or zero-accuracy bug upstream.
+    Computed from the boundary trace |J_n(mu)| and :func:`interior_norm_disc`;
+    exactly sqrt(2) (1 - h^2 n^2)^{-1/2}, which ``identity_checks`` compares
+    it with.
     """
     n, mu = mode.n, mode.mu
     pin = 2 * np.pi if n == 0 else np.pi
     trace = np.sqrt(pin) * abs(bessel_jn(n, mu))
-    ratio = trace / interior_norm_disc(mode)
-    exact = np.sqrt(2.0) / np.sqrt(1.0 - (mode.h * n) ** 2)
-    if abs(ratio - exact) > 1e-10 * exact:
-        raise IdentityViolationError(
-            f"mode (n={n}, l={mode.l}): ratio {ratio!r} vs exact {exact!r}"
-        )
-    return float(ratio)
+    return float(trace / interior_norm_disc(mode))
 
 
 def weighted_ratio(mode):
@@ -151,12 +144,8 @@ def quasi_orth_gram_norm(freq_center, M=1024):
 
 
 def _relative_check(fn, mode, expected):
-    """(value, expected, rel_err, ok) of fn(mode) against expected at 1e-10;
-    a check that raises reads value nan and rel_err inf."""
-    try:
-        value = fn(mode)
-    except NeuspecError:
-        return float("nan"), expected, float("inf"), False
+    """(value, expected, rel_err, ok) of fn(mode) against expected at 1e-10."""
+    value = fn(mode)
     err = abs(value - expected) / expected
     return value, expected, err, err <= 1e-10
 

@@ -5,7 +5,8 @@ Every class derives from ``NeuspecError``.  The input errors,
 numerical failures are not.  That base class alone tells "you passed
 garbage" from "the computation degenerated": the CLI exits 2 (usage error)
 for a ``NeuspecError`` that is a ``ValueError`` and 3 (numerical failure)
-for any other, so a new input error must subclass both.
+for any other, so a new input error must subclass both, and the library
+raises no bare ``ValueError``, which would end the CLI in a traceback.
 """
 
 
@@ -22,8 +23,8 @@ class InvalidCurveError(NeuspecError, ValueError):
 
 
 class DomainError(NeuspecError, ValueError):
-    """Argument outside the supported range of a special function or of the
-    disc suite.
+    """An argument outside its supported range: an energy, a bracket, a
+    sample count, a special-function argument or a disc-suite bound.
 
     An input error: the ``ValueError`` base makes the CLI exit 2, not 3.
     """
@@ -76,10 +77,6 @@ class ConvergenceFailureError(NeuspecError):
 
 class IncompleteEnumerationError(NeuspecError):
     """Mode enumeration hit the angular-order cap before exhausting a window."""
-
-
-class IdentityViolationError(NeuspecError):
-    """An exact analytic identity failed its tolerance (likely an upstream bug)."""
 
 
 class NumericalError(NeuspecError):

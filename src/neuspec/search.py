@@ -4,10 +4,11 @@ Near each Neumann eigenvalue E_j the minimum tension is a slightly rounded
 V, t(E) ~ s |E - E_j| with a slope s independent of E (the paper's
 comparable upper and lower bounds), so ``parabolic_min`` minimizes t^2(E),
 optionally from the smallest sample of a coarse grid (the presolve) and its
-neighbours.  Each evaluation yields the weighted t_min and the classical
-t_clas of its minimizer from one assembled system; nothing is kept between
-evaluations.  Located minima convert to bounds on the distance from E to
-the Neumann spectrum, in energy units:
+neighbours.  ``sweep`` and ``localize_minimum`` search with a
+``TensionSolver``, each of whose evaluations yields the weighted t_min and
+the classical t_clas of its minimizer from one assembled system; nothing is
+kept between evaluations.  Located minima convert to bounds on the distance
+from E to the Neumann spectrum, in energy units:
 
     eps_new  = C_est * t_min          (C_est = 1.6)
     eps_clas = C_enn * E * t_clas     (C_enn = 7.4)
@@ -56,7 +57,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import SystemBuilder
-from .errors import ConvergenceFailureError, NeuspecError, NumericalError
+from .errors import (ConvergenceFailureError, DomainError, NeuspecError,
+                     NumericalError)
 from .geometry import area, arclength_spectral
 from .tension import EPS_DEFAULT, classical_tension, min_tension
 
@@ -128,13 +130,15 @@ class EigenResult:
 
 
 class TensionSolver:
-    """Minimum-tension evaluator at fixed discretization parameters.
+    """Minimum-tension evaluator for one discretization: the ``curve``, M
+    boundary nodes, N charges at distance tau and the SVD cutoff ``eps``.
 
     It holds only energy-independent data, set once in ``__init__``, so an
     evaluation does not depend on the ones before it.
     """
 
     def __init__(self, curve, M, N, tau, eps=EPS_DEFAULT):
+        self.curve = curve
         self.builder = SystemBuilder(curve, M, N, tau)
         self.eps = eps
 
@@ -165,17 +169,16 @@ def _attempt(solver, E):
         return None, str(exc)
 
 
-def sweep(curve, M, N, tau, sqrtE_min, sqrtE_max, steps, eps=EPS_DEFAULT):
-    """Evaluate the minimum tension at ``steps`` equispaced frequencies.
+def sweep(solver, sqrtE_min, sqrtE_max, steps):
+    """Minimum tension of ``solver`` at ``steps`` equispaced frequencies.
 
     Numerical failures at individual energies are recorded as samples with
     an error message; an input error (a ``ValueError``) aborts the sweep.
     """
     if steps < 2:
-        raise ValueError("steps must be >= 2")
+        raise DomainError("steps must be >= 2")
     if not 0 < sqrtE_min < sqrtE_max:
-        raise ValueError("need 0 < sqrtE_min < sqrtE_max")
-    solver = TensionSolver(curve, M, N, tau, eps=eps)
+        raise DomainError("need 0 < sqrtE_min < sqrtE_max")
     out = []
     for f in np.linspace(sqrtE_min, sqrtE_max, steps):
         ev, error = _attempt(solver, f * f)
@@ -248,11 +251,11 @@ def parabolic_min(fn, e_lo, e_hi, tol=TOL_DEFAULT, budget=60, e_mid=None):
     ``ConvergenceFailureError`` carrying the same.
     """
     if not e_lo < e_hi:
-        raise ValueError("empty bracket")
+        raise DomainError("empty bracket")
     if e_mid is None:
         e_mid = 0.5 * (e_lo + e_hi)
     elif not e_lo < e_mid < e_hi:
-        raise ValueError("e_mid must lie inside the bracket")
+        raise DomainError("e_mid must lie inside the bracket")
     cache = {}
 
     def f(e):
@@ -310,7 +313,7 @@ def inclusion_bounds(E, t_min, t_clas, c_est=C_EST_DEFAULT,
                      c_ennenbach=C_ENNENBACH_DEFAULT):
     """Certified distances to the Neumann spectrum, new and classical."""
     if t_min < 0 or t_clas < 0:
-        raise ValueError("tensions must be nonnegative")
+        raise DomainError("tensions must be nonnegative")
     return c_est * t_min, c_ennenbach * E * t_clas
 
 
@@ -318,21 +321,21 @@ def weyl_index(curve, E):
     """Two-term eigenvalue-count estimate |Omega| E / 4pi + |dOmega| sqrt(E) / 4pi
     (Neumann sign: boundary term positive)."""
     if not E > 0:
-        raise ValueError("E must be positive")
+        raise DomainError("E must be positive")
     _, L = arclength_spectral(curve, 2048)
     return area(curve) * E / (4 * np.pi) + L * np.sqrt(E) / (4 * np.pi)
 
 
-def localize_minimum(curve, M, N, tau, bracket, tol=TOL_DEFAULT,
-                     eps=EPS_DEFAULT, c_est=C_EST_DEFAULT,
-                     c_ennenbach=C_ENNENBACH_DEFAULT, solver=None, coarse=0):
-    """Locate one tension minimum inside a frequency bracket and certify it.
+def localize_minimum(solver, bracket, tol=TOL_DEFAULT, c_est=C_EST_DEFAULT,
+                     c_ennenbach=C_ENNENBACH_DEFAULT, coarse=0):
+    """Locate one minimum of ``solver``'s tension inside a frequency bracket
+    and certify it; ``weyl_index`` is taken on ``solver.curve``.
 
     ``bracket`` is (sqrtE_lo, sqrtE_hi).  ``coarse >= 3`` first runs the
     presolve (module docstring) on a grid of ``coarse`` equispaced
     frequencies; ``coarse=0`` skips it, and the bracket should then contain
     exactly one local minimum (use a sweep to isolate one); 1, 2 and
-    negative values raise ``ValueError``.  Presolve samples that fail
+    negative values raise ``DomainError``.  Presolve samples that fail
     numerically are skipped and listed in ``presolve_failures``, input
     errors (each a ``ValueError``) propagate, and all failing raises
     ``NumericalError``.  If the evaluation budget runs out, or the minimum
@@ -341,11 +344,9 @@ def localize_minimum(curve, M, N, tau, bracket, tol=TOL_DEFAULT,
     """
     f_lo, f_hi = bracket
     if not 0 < f_lo < f_hi:
-        raise ValueError("bracket must satisfy 0 < lo < hi")
+        raise DomainError("bracket must satisfy 0 < lo < hi")
     if not (coarse == 0 or coarse >= 3):
-        raise ValueError("coarse must be 0 (no presolve) or at least 3")
-    if solver is None:
-        solver = TensionSolver(curve, M, N, tau, eps=eps)
+        raise DomainError("coarse must be 0 (no presolve) or at least 3")
     evals = {}
     E_lo, E_hi = f_lo ** 2, f_hi ** 2
     failures = []
@@ -413,7 +414,7 @@ def localize_minimum(curve, M, N, tau, bracket, tol=TOL_DEFAULT,
                        t_min=float(t_bound), t_classical=float(best.t_classical),
                        alpha=best.alpha, eps_new=float(eps_new),
                        eps_clas=float(eps_clas), n_evals=n_evals,
-                       weyl_index=float(weyl_index(curve, E_star)),
+                       weyl_index=float(weyl_index(solver.curve, E_star)),
                        slope=float(slope), t_second=best.t_second,
                        converged=converged, presolve_failures=tuple(failures),
                        n_presolve=n_presolve,

@@ -56,7 +56,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrcon
 
-from .errors import NoInteriorMassError, RankCollapseError
+from .errors import DomainError, NoInteriorMassError, RankCollapseError
 
 EPS_DEFAULT = 1e-14
 QR_COND_LIMIT = 1.0
@@ -122,7 +122,7 @@ def min_tension(A_w, B, eps=EPS_DEFAULT):
     A_w = np.asarray(A_w, dtype=float)
     B = np.asarray(B, dtype=float)
     if A_w.shape[1] != B.shape[1]:
-        raise ValueError("A_w and B must share their column count")
+        raise DomainError("A_w and B must share their column count")
     # A_w = Q R with orthonormal Q: [R; B] has the singular values and right
     # factor of [A_w; B], and the R rows of its basis give Q_A up to Q
     R = np.linalg.qr(A_w, mode="r")

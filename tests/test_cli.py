@@ -216,20 +216,21 @@ class TestLibraryDefaults:
     SYSTEM = ["--curve", DISC, "--M", "64", "--N", "32", "--tau", "0.1"]
 
     def test_solve(self, tmp_path, disc):
-        from neuspec import localize_minimum
+        from neuspec import TensionSolver, localize_minimum
 
         out = tmp_path / "s.json"
         assert run(["solve", *self.SYSTEM, "--f0", "3.81", "--f1", "3.84",
                     "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        res = localize_minimum(disc, 64, 32, 0.1, (3.81, 3.84), coarse=21)
+        res = localize_minimum(TensionSolver(disc, 64, 32, 0.1), (3.81, 3.84),
+                               coarse=21)
         for key in ("sqrtE", "E", "t_min", "t_classical", "eps_new",
                     "eps_clas", "n_evals", "n_presolve", "slope", "t_second",
                     "weyl_index"):
             assert doc[key] == getattr(res, key), key
 
     def test_sweep(self, tmp_path, disc):
-        from neuspec import sweep
+        from neuspec import TensionSolver, sweep
 
         # near j'_{20,2} the stack takes the truncated SVD, so the SVD
         # cutoff shows in every column
@@ -238,7 +239,7 @@ class TestLibraryDefaults:
                     "--tau", "0.1", "--fmin", "27.72", "--fmax", "27.74",
                     "--steps", "2", "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.open()))
-        samples = sweep(disc, 256, 128, 0.1, 27.72, 27.74, 2)
+        samples = sweep(TensionSolver(disc, 256, 128, 0.1), 27.72, 27.74, 2)
         assert len(rows) == len(samples)
         for r, s in zip(rows, samples):
             assert float(r["tension_min"]) == s.t_min
@@ -255,6 +256,61 @@ class TestLibraryDefaults:
         solver = TensionSolver(disc, 64, 32, 0.1)
         alpha = solver.evaluate(3.83 ** 2).alpha
         expect = point_source_sum(solver.builder.charges, alpha, 3.83 ** 2,
+                                  interior_grid(disc, 9).points)
+        assert np.array_equal(u, expect)
+
+
+class TestEpsFlag:
+    """``--eps`` reaches the solver each command builds: near j'_{20,2} the
+    stack takes the truncated SVD, so the cutoff shows in every output."""
+
+    SYSTEM = ["--curve", DISC, "--M", "256", "--N", "128", "--tau", "0.1",
+              "--eps", "1e-10"]
+
+    @pytest.fixture(scope="class")
+    def solver(self, disc):
+        from neuspec import TensionSolver
+
+        return TensionSolver(disc, 256, 128, 0.1, eps=1e-10)
+
+    def test_sweep(self, tmp_path, solver):
+        from neuspec import sweep
+
+        out = tmp_path / "s.csv"
+        assert run(["sweep", *self.SYSTEM, "--fmin", "27.72", "--fmax",
+                    "27.74", "--steps", "2", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        samples = sweep(solver, 27.72, 27.74, 2)
+        assert len(rows) == len(samples)
+        for r, s in zip(rows, samples):
+            assert float(r["tension_min"]) == s.t_min
+            assert float(r["c_min"]) == s.c_min
+            assert int(r["rank_eps"]) == s.rank_eps
+
+    def test_solve(self, tmp_path, solver):
+        from neuspec import localize_minimum
+
+        out = tmp_path / "s.json"
+        rc = run(["solve", *self.SYSTEM, "--f0", "27.72", "--f1", "27.74",
+                  "--out", str(out)])
+        doc = json.loads(out.read_text())
+        res = localize_minimum(solver, (27.72, 27.74), coarse=21)
+        assert rc == (0 if res.converged else 3)
+        assert doc["converged"] is res.converged
+        for key in ("sqrtE", "E", "t_min", "t_classical", "eps_new",
+                    "eps_clas", "n_evals", "n_presolve", "slope", "t_second",
+                    "weyl_index"):
+            assert doc[key] == getattr(res, key), key
+
+    def test_mode(self, tmp_path, disc, solver):
+        from neuspec import interior_grid, point_source_sum
+
+        out = tmp_path / "m.csv"
+        assert run(["mode", *self.SYSTEM, "--freq", "27.73", "--nx", "9",
+                    "--out", str(out)]) == 0
+        u = np.array([float(r["u"]) for r in csv.DictReader(out.open())])
+        alpha = solver.evaluate(27.73 ** 2).alpha
+        expect = point_source_sum(solver.builder.charges, alpha, 27.73 ** 2,
                                   interior_grid(disc, 9).points)
         assert np.array_equal(u, expect)
 
@@ -344,6 +400,13 @@ class TestDiscCheckCommand:
                   "--out", str(tmp_path / "r.csv")])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+        # a failing row shows the wrong ratio, not a nan
+        failed = [r for r in csv.DictReader((tmp_path / "r.csv").open())
+                  if r["check"] == "v_ratio" and r["pass"] == "0"]
+        assert failed
+        for r in failed:
+            assert np.isfinite(float(r["value"]))
+            assert float(r["rel_err"]) > 1e-10
 
 
 _COMMAND_FLAGS = {
@@ -379,6 +442,20 @@ _EXIT_CASES = {
                        "--tau", "0.1"], 2),
     "solve-f1-0.6": (["solve", "--curve", DISC, "--f0", "0.3", "--f1", "0.6",
                       "--M", "64", "--N", "32", "--tau", "0.1"], 2),
+    # E = freq^2 underflows to 0; each ended in a traceback (exit 1) while
+    # the energy and bracket checks raised a bare ValueError
+    "mode-freq1e-200": (["mode", "--curve", DISC, "--freq", "1e-200",
+                         "--nx", "5", "--M", "64", "--N", "32",
+                         "--tau", "0.1"], 2),
+    "solve-f1-2e-200": (["solve", "--curve", DISC, "--f0", "1e-200",
+                         "--f1", "2e-200", "--M", "64", "--N", "32",
+                         "--tau", "0.1"], 2),
+    "solve-coarse0-f1-2e-200": (["solve", "--curve", DISC, "--f0", "1e-200",
+                                 "--f1", "2e-200", "--coarse", "0", "--M",
+                                 "64", "--N", "32", "--tau", "0.1"], 2),
+    "sweep-fmax2e-200": (["sweep", "--curve", DISC, "--fmin", "1e-200",
+                          "--fmax", "2e-200", "--steps", "3", "--M", "64",
+                          "--N", "32", "--tau", "0.1"], 2),
 }
 
 
