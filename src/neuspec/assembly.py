@@ -50,6 +50,7 @@ class TensionSystem:
     A_nor: np.ndarray
     B: np.ndarray        # B^T B ~= H, the interior-norm form
     rank_H: int
+    basis: tuple         # (V, D) of sqrt_factor, for min_tension
 
 
 def interior_norm_matrix(grid, A_val, A_nor, A_tan, A_dil, E):
@@ -75,17 +76,18 @@ def sqrt_factor(H):
     """Truncated square root of a symmetric matrix.
 
     Eigenpairs with lambda_j < EPS_H * lambda_1 are dropped (H is formally
-    positive but assembled in floating point); returns (B, rank) with
-    B = sqrt(Lambda) V^T on the kept pairs, so B^T B ~= H.
+    positive but assembled in floating point).  Returns (B, rank, (V, D)):
+    B = sqrt(Lambda) V^T on the kept pairs, largest first, so B^T B ~= H;
+    V, every eigenvector in ascending order, the dropped before the kept,
+    and D = diag(sqrt(lambda)) of the kept are ``min_tension``'s rotation.
     """
     lam, V = np.linalg.eigh(H)
-    lam = lam[::-1]
-    V = V[:, ::-1]
-    if lam[0] <= 0:
+    if lam[-1] <= 0:
         raise DegenerateNormError("interior-norm matrix has no positive eigenvalue")
-    keep = lam >= EPS_H * lam[0]
-    B = np.sqrt(lam[keep])[:, None] * V[:, keep].T
-    return B, int(keep.sum())
+    rank = int((lam >= EPS_H * lam[-1]).sum())
+    root = np.sqrt(lam[-rank:])
+    B = root[::-1, None] * V[:, -rank:][:, ::-1].T
+    return B, rank, (V, np.diag(root))
 
 
 def point_source_sum(charges, alpha, E, points):
@@ -184,5 +186,6 @@ class SystemBuilder:
         A_val, A_nor, A_tan, A_dil = self.traces(E)
         A_w = build_filter_matrix(self.grid, 1.0 / np.sqrt(E)) @ A_nor
         H = interior_norm_matrix(self.grid, A_val, A_nor, A_tan, A_dil, E)
-        B, rank_H = sqrt_factor(H)
-        return TensionSystem(A_w=A_w, A_nor=A_nor, B=B, rank_H=rank_H)
+        B, rank_H, basis = sqrt_factor(H)
+        return TensionSystem(A_w=A_w, A_nor=A_nor, B=B, rank_H=rank_H,
+                             basis=basis)

@@ -146,6 +146,15 @@ def _require(args, *names):
             raise UsageError(f"missing required option --{name}")
 
 
+def _require_energy(args, *names):
+    """Usage error for the first of ``names`` <= 0 or whose square is 0."""
+    for name in names:
+        f = getattr(args, name)
+        if not (f > 0 and f ** 2 > 0):
+            raise UsageError(f"--{name}: need {name} > 0 and E = {name}^2 "
+                             f"> 0, got {name} = {f!r}")
+
+
 def _given(args, **options):
     """Keyword arguments for the library from the options that are set,
     ``options`` naming the option behind each parameter; the library's own
@@ -220,6 +229,7 @@ def build_parser():
 
 def cmd_sweep(args):
     _require(args, "fmin", "fmax", "steps", "out")
+    _require_energy(args, "fmin", "fmax")
     solver = _solver(args)
     from .search import sweep
 
@@ -243,6 +253,7 @@ def cmd_sweep(args):
 
 def cmd_solve(args):
     _require(args, "f0", "f1", "out")
+    _require_energy(args, "f0", "f1")
     if not (args.coarse == 0 or args.coarse >= 3):
         raise UsageError("--coarse must be 0 (no presolve) or at least 3")
     from .search import localize_minimum
@@ -298,8 +309,7 @@ _MODE_CSV_ROWS = 4096
 def cmd_mode(args):
     _require(args, "freq", "nx", "out")
     # the library would take |freq| without complaint
-    if not args.freq > 0:
-        raise UsageError("--freq must be positive")
+    _require_energy(args, "freq")
     solver = _solver(args)
     import numpy as np
 

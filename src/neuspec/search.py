@@ -146,7 +146,8 @@ class TensionSolver:
         """TensionEval at energy E, with coefficients normalized to unit
         interior norm, their classical tension and the rank of H."""
         system = self.builder.system(E)
-        ev = min_tension(system.A_w, system.B, eps=self.eps)
+        ev = min_tension(system.A_w, system.B, eps=self.eps,
+                         basis=system.basis)
         return replace(ev, E=float(E), rank_H=system.rank_H,
                        t_classical=classical_tension(ev.alpha, system.A_nor,
                                                      system.B))

@@ -152,12 +152,12 @@ class TestSqrtFactor:
     def test_identity(self):
         # B is unique only up to the eigenbasis; for H = I any orthogonal
         # matrix qualifies, so check the defining property instead
-        B, r = sqrt_factor(np.eye(5))
+        B, r, _ = sqrt_factor(np.eye(5))
         assert r == 5
         assert np.abs(B.T @ B - np.eye(5)).max() < 1e-14
 
     def test_cutoff_definition(self):
-        B, r = sqrt_factor(np.diag([1.0, 1e-20]))
+        B, r, _ = sqrt_factor(np.diag([1.0, 1e-20]))
         assert r == 1
         assert B.shape == (1, 2)
         assert np.abs(np.abs(B[0]) - [1.0, 0.0]).max() < 1e-14
@@ -166,10 +166,23 @@ class TestSqrtFactor:
         X = rng.standard_normal((30, 30))
         H = X @ X.T
         H = 0.5 * (H + H.T)
-        B, r = sqrt_factor(H)
+        B, r, _ = sqrt_factor(H)
         lam1 = np.linalg.eigvalsh(H)[-1]
         err = np.linalg.norm(B.T @ B - H, 2)
         assert err <= 1e-12 * lam1 * (1 + 1e-10) + 1e-13
+
+    def test_rotation_basis(self, rng):
+        # V = [Z Y] orthogonal with B Z = 0 and (B Y)^T (B Y) = D^T D, the
+        # rotation min_tension takes
+        X = rng.standard_normal((30, 30))
+        H = (X * np.logspace(0, -20, 30)) @ X.T
+        B, r, (V, D) = sqrt_factor(0.5 * (H + H.T))
+        assert 0 < r < 30 and D.shape == (r, r)
+        scale = np.abs(B).max()
+        assert np.abs(V.T @ V - np.eye(30)).max() < 1e-14
+        assert np.abs(B @ V[:, :30 - r]).max() < 1e-14 * scale
+        BY = B @ V[:, 30 - r:]
+        assert np.abs(BY.T @ BY - D.T @ D).max() < 1e-13 * scale ** 2
 
     def test_degenerate(self):
         with pytest.raises(DegenerateNormError):

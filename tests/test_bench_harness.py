@@ -22,7 +22,16 @@ OWNERS = (neuspec.assembly, neuspec.cli, neuspec.geometry, neuspec.search,
           SystemBuilder, TensionSolver)
 
 
-def test_install_trace_solve_restore(tmp_path):
+def test_install_trace_solve_restore(tmp_path, monkeypatch):
+    # the evaluations, recorded under the tracer's own wrapper
+    evals = []
+    evaluate = TensionSolver.evaluate
+
+    def recorded(self, E):
+        evals.append(evaluate(self, E))
+        return evals[-1]
+
+    monkeypatch.setattr(TensionSolver, "evaluate", recorded)
     before = [dict(vars(owner)) for owner in OWNERS]
     tracer = Tracer()
     trace = NeuspecTrace(tracer)
@@ -58,6 +67,12 @@ def test_install_trace_solve_restore(tmp_path):
     # bench/run.py takes the median of every sample list and fails on an
     # empty one; the filter's byte samples come from its wrapped name
     assert all(tracer.samples[name] for name in SAMPLE_NAMES)
+    # the rank samples read result[1] of ``sqrt_factor`` and ``rank_eps`` of
+    # ``min_tension``'s result: one int per evaluation, its own rank
+    for name, field in (("assembly.rank_H", "rank_H"),
+                        ("tension.rank_eps", "rank_eps")):
+        assert all(type(x) is int for x in tracer.samples[name])
+        assert tracer.samples[name] == [getattr(ev, field) for ev in evals]
     assert (names.count("weights.build_filter_matrix")
             == names.count("assembly.system"))
     # the presolve's bracketing samples are reused, not re-assembled

@@ -473,6 +473,19 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"{argv[0]}: ")
 
+    @pytest.mark.parametrize("case, flag", [
+        ("mode-freq1e-200", "--freq"), ("sweep-fmax2e-200", "--fmin"),
+        ("solve-f1-2e-200", "--f0"), ("solve-coarse0-f1-2e-200", "--f0")])
+    def test_underflowing_energy_names_flag(self, tmp_path, capsys, case,
+                                            flag):
+        # the message names the first flag whose square underflows
+        argv, _ = _EXIT_CASES[case]
+        assert run([*argv, "--out", str(tmp_path / "x.out")]) == 2
+        name = flag[2:]
+        assert capsys.readouterr().err == (
+            f"{argv[0]}: {flag}: need {name} > 0 and E = {name}^2 > 0, got "
+            f"{name} = 1e-200\n")
+
     def test_console_script_path(self, tmp_path):
         src = Path(cli.__file__).resolve().parents[1]
         argv, _ = _EXIT_CASES["sweep-M70"]

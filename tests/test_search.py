@@ -128,14 +128,17 @@ class TestLocalizeMinimum:
     @pytest.mark.xfail(strict=True, reason="charges too far out: the presolve "
                        "lands on a noise minimum and certifies it")
     def test_far_charges_certificate_contains_eigenvalue(self, wobbly):
-        # at tau=0.04 the search converges on a noise minimum several times
-        # eps_new from the eigenvalue 40.53011549421899^2 (how many depends
-        # on the BLAS thread count); a result may miss only when it says it
-        # has not converged
-        res = localize_minimum(TensionSolver(wobbly, 700, 350, 0.04),
-                               (40.50, 40.55), coarse=21)
-        assert (not res.converged
-                or abs(res.E - 40.53011549421899 ** 2) <= res.eps_new)
+        # at tau=0.04 the tension has a noise floor near 2e-3 around a
+        # narrow dip, and the search converges on a noise minimum tens to
+        # hundreds of times eps_new from the eigenvalue 40.53011549421899^2;
+        # which bracket lands on noise depends on the rounding (BLAS thread
+        # count, factorization order), so several are tried.  A result may
+        # miss only when it says it has not converged
+        solver = TensionSolver(wobbly, 700, 350, 0.04)
+        for bracket in ((40.50, 40.55), (40.502, 40.548), (40.504, 40.546)):
+            res = localize_minimum(solver, bracket, coarse=21)
+            assert (not res.converged
+                    or abs(res.E - 40.53011549421899 ** 2) <= res.eps_new)
 
     @pytest.mark.xfail(strict=True, reason="the parabola's vertex stops "
                        "moving while the bracket is still wide")

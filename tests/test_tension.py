@@ -5,7 +5,6 @@ from scipy import linalg
 from neuspec import (TensionSolver, classical_tension, jnprime_zero,
                      min_tension)
 from neuspec.errors import NoInteriorMassError, RankCollapseError
-from neuspec.tension import _basis_rows
 
 
 def gen_eig_oracle(A, B):
@@ -174,6 +173,29 @@ class TestQRReduction:
             assert res.rank_eps == r_ref < A.shape[1]
 
 
+    def test_lobe_stack_matches_unreduced(self, wobbly):
+        # the solver's own stack, rotated by the eigenbasis of H
+        system = TensionSolver(wobbly, 700, 350, 0.025).builder.system(
+            40.525 ** 2)
+        res = min_tension(system.A_w, system.B, basis=system.basis)
+        t_ref, c_ref, r_ref = unreduced_min_tension(system.A_w, system.B)
+        assert res.rank_eps == r_ref == 350
+        assert res.t_min == pytest.approx(t_ref, rel=1e-9)
+        assert res.c_min == pytest.approx(c_ref, rel=1e-9)
+        assert classical_tension(res.alpha, system.A_w, system.B) == (
+            pytest.approx(res.t_min, rel=1e-10))
+
+    def test_disc_stack_takes_qr_path(self, disc, monkeypatch):
+        # the rotated stack's condition estimate reads 2e13 to 3e13 here,
+        # below 1/eps (module docstring)
+        system = TensionSolver(disc, 256, 128, 0.1).builder.system(27.72 ** 2)
+        res, n_svd = count_svd_calls(
+            monkeypatch, lambda: min_tension(system.A_w, system.B,
+                                             basis=system.basis))
+        assert n_svd == 1
+        assert res.rank_eps == 128
+
+
 def count_svd_calls(monkeypatch, fn, *args):
     """fn(*args) and the number of np.linalg.svd calls it made."""
     calls = []
@@ -226,11 +248,16 @@ def shared_null_pair(rng, m=30, n=12, rows_B=5, null=0):
 
 
 def full_basis_tensions(A, B, eps=1e-14):
-    """(t_min, c_min, t_second, c) from the full SVD of the same Q_A that
-    ``min_tension`` builds, without restricting it to the row space of Q_B."""
+    """(t_min, c_min, t_second, c) from the full SVD of the A rows Q_A of an
+    orthonormal basis of the stack's kept column space, without restricting
+    it to the row space of the B rows: [R; B] = Q2 R2 with R from A's QR,
+    and the right factor of R2's truncated SVD, which is every column on a
+    well-conditioned stack."""
     R = np.linalg.qr(A, mode="r")
     R = np.vstack([R, np.zeros((A.shape[1] - R.shape[0], A.shape[1]))])
-    Q_A, _, _, _ = _basis_rows(np.vstack([R, B]), R.shape[0], eps)
+    Q2, R2 = np.linalg.qr(np.vstack([R, B]))
+    Ur, sig, _ = np.linalg.svd(R2)
+    Q_A = Q2[: R.shape[0]] @ Ur[:, : int((sig >= eps * sig[0]).sum())]
     c = np.linalg.svd(Q_A, compute_uv=False)
     t_min, t_second = c[[-1, -2]] / np.sqrt(1.0 - c[[-1, -2]] ** 2)
     return t_min, c[-1], t_second, c
@@ -238,7 +265,8 @@ def full_basis_tensions(A, B, eps=1e-14):
 
 class TestRowSpaceReduction:
     """``min_tension`` takes the SVD of Q_A W, W an orthonormal basis of the
-    row space of Q_B, instead of the SVD of Q_A."""
+    row space of Q_B (on the QR path, Q2[:r]), instead of the SVD of
+    Q_A."""
 
     # (null directions, kept rank): the QR path and the fallback
     PATHS = [(0, 12), (3, 9)]
