@@ -8,6 +8,13 @@ approximate boundary L2 norms.  ``SystemBuilder.system`` reduces them to what
 the tensions read: the filtered normal derivative A_w = F A_nor, the
 unfiltered A_nor for the classical tension, and the interior-norm factor B.
 
+On a curve symmetric under y -> -y the problem splits into an even and an
+odd class (``geometry``).  The split comes after assembly: the traces, A_w
+and H are formed whole, and ``sqrt_factor`` and ``min_tension`` slice each
+class's blocks from them.  Assembling on half the nodes and charges would
+change the rounding of A_w, which moves the benchmark's lobe-scan tensions
+by about its 1e-8 check.
+
 The interior L2 norm of an E-Helmholtz function is evaluated on the boundary
 through the Rellich-type identity
 
@@ -35,7 +42,7 @@ import numpy as np
 from . import special
 from .errors import (DegenerateNormError, DomainError, InvalidCurveError,
                      SingularKernelError)
-from .geometry import build_grid, charge_points
+from .geometry import build_grid, charge_points, mirror_fold, mirror_unfold
 from .special import bessel_y0, bessel_y1, kernel_threads
 from .weights import build_filter_matrix
 
@@ -50,7 +57,7 @@ class TensionSystem:
     A_nor: np.ndarray
     B: np.ndarray        # B^T B ~= H, the interior-norm form
     rank_H: int
-    basis: tuple         # (V, D) of sqrt_factor, for min_tension
+    basis: tuple         # sqrt_factor's (parity, V, D) per class
 
 
 def interior_norm_matrix(grid, A_val, A_nor, A_tan, A_dil, E):
@@ -72,22 +79,33 @@ def interior_norm_matrix(grid, A_val, A_nor, A_tan, A_dil, E):
     return 0.5 * (H + H.T)
 
 
-def sqrt_factor(H):
-    """Truncated square root of a symmetric matrix.
+def sqrt_factor(H, classes=(0,)):
+    """Truncated square root of a symmetric matrix, per reflection class
+    (the default is one class, the whole matrix).
 
-    Eigenpairs with lambda_j < EPS_H * lambda_1 are dropped (H is formally
-    positive but assembled in floating point).  Returns (B, rank, (V, D)):
-    B = sqrt(Lambda) V^T on the kept pairs, largest first, so B^T B ~= H;
-    V, every eigenvector in ascending order, the dropped before the kept,
-    and D = diag(sqrt(lambda)) of the kept are ``min_tension``'s rotation.
+    Eigenpairs of each class's block S^T H S (``mirror_fold``) with lambda <
+    EPS_H * lambda_1, lambda_1 the largest of all, are dropped (H is formally
+    positive but assembled in floating point), and so is a class that keeps
+    none.  Returns (B, rank, basis): B = sqrt(Lambda) V^T S^T on the kept
+    pairs, class by class, largest first, so B^T B ~= H; its row count; and
+    ``min_tension``'s rotation, one (parity, V, D) per kept class: V every
+    eigenvector of the block in ascending order, the dropped before the kept,
+    and D = diag(sqrt(lambda)) of the kept.
     """
-    lam, V = np.linalg.eigh(H)
-    if lam[-1] <= 0:
+    eig = [np.linalg.eigh(mirror_fold(H, parity)) for parity in classes]
+    top = max(lam[-1] for lam, _ in eig)
+    if top <= 0:
         raise DegenerateNormError("interior-norm matrix has no positive eigenvalue")
-    rank = int((lam >= EPS_H * lam[-1]).sum())
-    root = np.sqrt(lam[-rank:])
-    B = root[::-1, None] * V[:, -rank:][:, ::-1].T
-    return B, rank, (V, np.diag(root))
+    columns, basis = [], []
+    for parity, (lam, V) in zip(classes, eig):
+        rank = int((lam >= EPS_H * top).sum())
+        if rank:
+            root = np.sqrt(lam[-rank:])
+            columns.append(mirror_unfold(V[:, -rank:][:, ::-1] * root[::-1],
+                                         len(H), parity))
+            basis.append((parity, V, np.diag(root)))
+    B = np.hstack(columns).T
+    return B, len(B), tuple(basis)
 
 
 def point_source_sum(charges, alpha, E, points):
@@ -147,6 +165,8 @@ class SystemBuilder:
             raise InvalidCurveError("N must not exceed M")
         self.grid = build_grid(curve, M)
         self.charges = charge_points(curve, N, tau)
+        # parities of the classes; with N <= 2 every charge is its own mirror
+        self.classes = (1, -1) if curve.symmetric and N > 2 else (0,)
         dx = self.grid.x[:, :1] - self.charges.y[:, 0]
         dy = self.grid.x[:, 1:] - self.charges.y[:, 1]
         self._dist = np.sqrt(dx * dx + dy * dy)
@@ -186,6 +206,6 @@ class SystemBuilder:
         A_val, A_nor, A_tan, A_dil = self.traces(E)
         A_w = build_filter_matrix(self.grid, 1.0 / np.sqrt(E)) @ A_nor
         H = interior_norm_matrix(self.grid, A_val, A_nor, A_tan, A_dil, E)
-        B, rank_H, basis = sqrt_factor(H)
+        B, rank_H, basis = sqrt_factor(H, self.classes)
         return TensionSystem(A_w=A_w, A_nor=A_nor, B=B, rank_H=rank_H,
                              basis=basis)

@@ -12,6 +12,12 @@ downstream formally positive.
 
 Arclength at the nodes comes from the spectrally integrated speed, one FFT
 and one inverse FFT, so it costs O(M log M).
+
+A curve with r even in theta is symmetric under y -> -y, and then node m
+and charge n mirror node M - m and charge N - n (indices mod M and N).  The
+orthonormal columns e_0, e_{N/2} (N even) and (e_n + e_{N-n})/sqrt2 span
+the even class, (e_n - e_{N-n})/sqrt2 the odd one; ``mirror_fold`` and
+``mirror_unfold`` apply this basis S by slices.
 """
 
 from dataclasses import dataclass
@@ -21,6 +27,7 @@ import numpy as np
 from .errors import ChargePlacementError, InvalidCurveError
 
 _VALIDATION_SAMPLES = 4096
+_SQRT_HALF = np.sqrt(0.5)
 
 
 class RadialCurve:
@@ -63,6 +70,13 @@ class RadialCurve:
     @classmethod
     def circle(cls, radius=1.0):
         return cls.trig([float(radius)])
+
+    @property
+    def symmetric(self):
+        """Whether r is even in theta, so that the domain is symmetric under
+        y -> -y: every ``radial`` curve, and ``trig`` curves without sine
+        terms."""
+        return self.kind == "radial" or not np.any(self._params[1])
 
     # -- evaluation ----------------------------------------------------------
 
@@ -239,6 +253,45 @@ def charge_points(curve, N, tau):
     if bad.size:
         raise ChargePlacementError(int(bad[0]), y[bad[0]])
     return ChargeSet(N=N, y=y)
+
+
+def mirror_fold(X, parity):
+    """S^T X S: the paired rows and columns of X (i <-> n - i along an axis
+    of length n) combined into the class of ``parity``, entry by entry:
+    (X_ab + X_a'b' +- X_ab' +- X_a'b) / 2 on pairs, a sum over one pair
+    over sqrt2 on a self-paired row or column.  Parity 0 returns X itself.
+    """
+    if not parity:
+        return X
+    (lo, hi, own), (lo_c, hi_c, own_c) = _pairs(len(X)), _pairs(X.shape[1])
+    if parity < 0:
+        return (X[lo, lo_c] + X[hi, hi_c] - X[lo, hi_c] - X[hi, lo_c]) / 2
+    pairs = (X[lo, lo_c] + X[hi, hi_c] + X[lo, hi_c] + X[hi, lo_c]) / 2
+    rows = (X[own, lo_c] + X[own, hi_c]) * _SQRT_HALF
+    cols = (X[lo, own_c] + X[hi, own_c]) * _SQRT_HALF
+    return np.block([[X[own][:, own_c], rows], [cols, pairs]])
+
+
+def _pairs(n):
+    """Slices of indices 1..h and of their mirrors n-1..n-h, and the list of
+    the self-paired 0 and, for even n, n/2."""
+    h = (n - 1) // 2
+    own = [0, n // 2] if n % 2 == 0 else [0]
+    return slice(1, h + 1), slice(None, n - h - 1, -1), own
+
+
+def mirror_unfold(Y, n, parity):
+    """S Y: class coefficients, the rows of Y, over all n indices.  Parity 0
+    returns Y itself."""
+    if not parity:
+        return Y
+    lo, hi, own = _pairs(n)
+    X = np.zeros((n,) + Y.shape[1:])
+    if parity > 0:
+        X[own], Y = Y[:len(own)], Y[len(own):]
+    X[lo] = Y * _SQRT_HALF
+    X[hi] = X[lo] if parity > 0 else -X[lo]
+    return X
 
 
 def contains(curve, p):

@@ -25,10 +25,12 @@ by more than the bound's margin (on the disc C_est = 1.6 leaves 13 %).  So
     delta_t = T_ROUNDING_ULPS * u * E      (T_ROUNDING_ULPS = 10)
 
 The allowance is empirical, not proved.  It was sized from exact disc
-eigenvalues (M=256, N=128): over 320 jittered brackets around j'_{30,1}
-(tau=0.1 and 0.05), j'_{9,7} (tau=0.1), j'_{20,2} (tau=0.05 and 0.07),
-j'_{8,6} and j'_{15,3} (tau=0.05), C_est * t(E) fell short of |E - E_j| by at
-most 4.0 u*E; delta_t adds 16 u*E to eps_new, four times that.
+eigenvalues (M=256, N=128): over 320 jittered brackets, 40 each around
+j'_{30,1} (tau=0.1 and 0.05), j'_{9,7} (tau=0.1), j'_{20,2} (tau=0.05 and
+0.07), j'_{8,6} and j'_{15,3} (tau=0.05) and 40 inside [32.4, 32.6] with a
+21-point presolve, C_est * t(E) fell short of |E - E_j| by at most 4.0 u*E
+on the whole stack and 2.5 u*E per reflection class; delta_t adds 16 u*E
+to eps_new, four times the larger.
 
 The presolve samples its coarse grid lazily (``_v_walk``): the grid ends,
 then a walk from the dip of the V through them to the smallest sample b.

@@ -7,9 +7,17 @@ J. Numer. Anal. 18, 1981), the minimum is c/sqrt(1 - c^2) at the smallest
 singular value c of Q_A on the row space of Q_B (c = 1 off it), and c[-2]
 gives the second-smallest tension, small too where the eigenvalue is
 degenerate.  This generalized SVD (Betcke, SIAM J. Sci. Comput. 30, 2008;
-Betcke & Trefethen, SIAM Review 47, 2005) is taken in coordinates a = V x,
-V = [Z Y] the eigenvectors of H that ``sqrt_factor`` drops and keeps (r =
-rank_H), so the stack reads [A_w Z, A_w Y; 0, D], D = diag(sqrt(lambda)):
+Betcke & Trefethen, SIAM Review 47, 2005) is taken per reflection class,
+one SVD each: on a domain symmetric under y -> -y the stack is block
+diagonal, up to rounding, in the even and odd coefficients
+(``geometry.mirror_fold``; Baecker, Lect. Notes Phys. 618, 2003).  The
+smaller class minimum is the result; t_second is the smaller of that
+class's second tension and the other class's minimum, so a doublet split
+over the classes still reads small, and rank_eps sums over the classes.
+Any other curve is one class, the whole stack.  Each class is taken in
+coordinates a = V x, V = [Z Y] the eigenvectors of its block of H that
+``sqrt_factor`` drops and keeps (r = rank_H), so its stack reads [A_w Z,
+A_w Y; 0, D], D = diag(sqrt(lambda)):
 
 1. the R-only QR of A_w V gives [[R11, R12], [0, R22]] (zero rows pad it
    when M < N);
@@ -22,28 +30,27 @@ rank_H), so the stack reads [A_w Z, A_w Y; 0, D], D = diag(sqrt(lambda)):
 A numerically singular T would amplify directions by 1/sigma_min, so the
 code then takes the truncated SVD of T, dropping singular values below
 ``eps`` (``EPS_DEFAULT`` = 1e-14) times the largest (Betcke 2008);
-``rank_eps`` counts the kept ones, N on the QR path.  That path is taken
-when LAPACK's 1-norm estimate (``trcon``) satisfies cond_est(T) * eps <
-QR_COND_LIMIT = 1.  The estimate reads high, as measured, not proved (it
-can read low by a factor of order N): 17 to 180 times the true 2-norm
-condition on the three-lobe domain (a0=1, eps=0.3, k=3, b=0.2), and 2.3 to
-3.5 times on the unit disc (M=256, N=128, tau=0.1, sqrtE in [27.708,
-27.748]: 1.7e13 to 3.2e13 against 6.5e12 to 9.2e12).  So every admitted
-stack had a true condition number 10 times below 1/eps, where the
-truncated SVD keeps every singular value.  The estimate for the factor of
-the unrotated stack [R; B], R from the QR of A_w, sent those disc stacks
-(8.6e13 to 2.1e14) to the fallback and the M=5000 one to the QR path:
+``rank_eps`` counts the kept ones, the class's column count on the QR
+path.  That path is taken when LAPACK's 1-norm estimate (``trcon``)
+satisfies cond_est(T) * eps < QR_COND_LIMIT = 1.  The estimate is no
+bound: per class it read 13 to 133 times the true 2-norm condition on the
+three-lobe domain (a0=1, eps=0.3, k=3, b=0.2), but 0.8 to 2.8 times on the
+unit disc (M=256, N=128, tau=0.1, sqrtE in [27.708, 27.748]: 6.2e12 to
+2.5e13 against 3.7e12 to 1.2e13).  So every admitted stack measured had a
+true condition number 8 times below 1/eps, where the truncated SVD keeps
+every singular value.  Per class (even|odd; SVD marks the fallback, and
+"whole" is the estimate for the unsplit stack):
 
-    M     N     tau      sqrtE   cond_est  true cond  rank_eps   [R; B]
-    700   350   0.02     40.53   2.0e10    1.2e9      350        9.7e9
-    700   350   0.025    40.53   7.3e12    2.8e11     350        1.1e12
-    700   350   0.03     40.53   6.4e14    2.4e13     350 (SVD)  4.8e14
-    700   350   0.035    40.53   9.4e15    3.3e14     340 (SVD)  7.3e15
-    700   350   0.04     40.53   1.6e16    5.4e14     325 (SVD)  2.0e16
-    1400  700   0.0125   80.9    1.4e13    2.8e11     700        2.7e12
-    1400  700   0.025    80.9    5.6e16    4.9e14     494 (SVD)  1.7e16
-    2800  1400  0.00625  161.8   2.2e13    3.1e11     1400       2.5e12
-    5000  2500  0.004    405.0   1.6e15    8.9e12     2500 (SVD) 7.0e13
+  M    N    tau     sqrtE cond_est       true cond      rank_eps       whole
+  700  350  0.02    40.53 2.1e10|1.6e10  1.2e9|1.1e9    176|174        2.0e10
+  700  350  0.025   40.53 7.0e12|3.9e12  2.8e11|2.5e11  176|174        7.3e12
+  700  350  0.03    40.53 5.7e14|3.1e14  2.3e13|1.2e13  176|174 SVD    6.4e14
+  700  350  0.035   40.53 9.9e15|5.8e15  4.2e14|3.1e14  170|168 SVD    9.4e15
+  700  350  0.04    40.53 1.7e16|1.0e16  6.3e14|6.1e14  162|162 SVD    1.6e16
+  1400 700  0.0125  80.9  7.4e12|9.9e12  2.8e11|2.7e11  351|349        1.4e13
+  1400 700  0.025   80.9  4.2e16|4.2e16  6.6e14|5.9e14  247|246 SVD    5.6e16
+  2800 1400 0.00625 161.8 1.6e13|1.9e13  3.1e11|3.0e11  701|699        2.2e13
+  5000 2500 0.004   405.0 1.2e15|1.1e15  9.0e12|8.9e12  1251|1249 SVD  1.6e15
 """
 
 from dataclasses import dataclass
@@ -53,6 +60,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrcon
 
 from .errors import DomainError, NoInteriorMassError, RankCollapseError
+from .geometry import mirror_fold, mirror_unfold
 
 EPS_DEFAULT = 1e-14
 QR_COND_LIMIT = 1.0
@@ -85,11 +93,12 @@ class TensionEval:
 def min_tension(A_w, B, eps=EPS_DEFAULT, basis=None):
     """Minimize ||A_w a|| / ||B a|| over coefficient vectors a.
 
-    ``basis`` = (V, D) rotates the coefficients (module docstring), as
-    ``sqrt_factor`` returns it with B; without it, a complete QR of B^T
-    gives V and D.  ``eps`` is the relative singular-value cutoff for the
-    stacked matrix; it also sets when the QR path is taken.  The returned
-    alpha is normalized so that ||B alpha|| = 1, i.e. unit interior norm.
+    ``basis``, one (parity, V, D) per reflection class as ``sqrt_factor``
+    returns it with B, splits the problem into its classes and rotates each
+    (module docstring); without it, a complete QR of B^T gives one class's
+    V and D.  ``eps`` is the relative singular-value cutoff for each class's
+    stack; it also sets when the QR path is taken.  The returned alpha is
+    normalized so that ||B alpha|| = 1, i.e. unit interior norm.
     """
     A_w = np.asarray(A_w, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -100,8 +109,38 @@ def min_tension(A_w, B, eps=EPS_DEFAULT, basis=None):
     if basis is None:
         # B^T = Q R: B Q = R^T, whose columns past min(B.shape) are zero
         Q, R = np.linalg.qr(B.T, mode="complete")
-        basis = np.roll(Q, -min(B.shape), axis=1), R[:min(B.shape)].T
-    V, D = basis
+        basis = ((0, np.roll(Q, -min(B.shape), axis=1), R[:min(B.shape)].T),)
+    N = A_w.shape[1]
+    parts = []
+    for parity, V, D in basis:
+        c, a, r_eps = _rotated_min(mirror_fold(A_w, parity), V, D, eps)
+        parts.append((c, mirror_unfold(a, N, parity), r_eps))
+    parts.sort(key=lambda part: part[0][-1])
+    (c, alpha, _), others = parts[0], parts[1:]
+    c_min = float(c[-1])
+    if c_min >= 1.0 - 1e-14:
+        raise NoInteriorMassError(
+            "trial space numerically annihilated by the interior-norm factor"
+        )
+    t_min = c_min / np.sqrt(1.0 - c_min * c_min)
+    # the second-smallest over all classes: the winner's next or another
+    # class's smallest
+    c_2 = min([float(c[-2]) if len(c) > 1 else 1.0]
+              + [float(other[0][-1]) for other in others])
+    t_second = c_2 / np.sqrt(1.0 - c_2 * c_2) if c_2 < 1.0 else float("inf")
+    bnorm = np.linalg.norm(B @ alpha)
+    if bnorm == 0.0:
+        raise NoInteriorMassError("minimizer has zero interior norm")
+    alpha = alpha / bnorm
+    return TensionEval(E=float("nan"), t_min=float(t_min), alpha=alpha,
+                       rank_eps=sum(part[2] for part in parts), c_min=c_min,
+                       t_second=float(t_second))
+
+
+def _rotated_min(A_w, V, D, eps):
+    """(c, a, rank_eps) of one class: the singular values c of Q_A on the
+    row space of Q_B, descending, and a = V x, x the coefficients of the
+    smallest (module docstring, steps 1-3 and the fallback)."""
     N, r = V.shape[1], D.shape[1]
     n0 = N - r
     T = np.linalg.qr(A_w @ V, mode="r")
@@ -125,21 +164,7 @@ def min_tension(A_w, B, eps=EPS_DEFAULT, basis=None):
         W, _ = np.linalg.qr((Q2[r:] @ Ur[n0:]).T)
         _, c, Wt = np.linalg.svd(np.linalg.qr(Q_A @ W, mode="r"))
         x = Xt[:r_eps].T @ ((W @ Wt[-1]) / sig[:r_eps])
-    c_min = float(c[-1])
-    if c_min >= 1.0 - 1e-14:
-        raise NoInteriorMassError(
-            "trial space numerically annihilated by the interior-norm factor"
-        )
-    t_min = c_min / np.sqrt(1.0 - c_min * c_min)
-    c_2 = float(c[-2]) if len(c) > 1 else 1.0
-    t_second = c_2 / np.sqrt(1.0 - c_2 * c_2) if c_2 < 1.0 else float("inf")
-    alpha = V @ x
-    bnorm = np.linalg.norm(B @ alpha)
-    if bnorm == 0.0:
-        raise NoInteriorMassError("minimizer has zero interior norm")
-    alpha = alpha / bnorm
-    return TensionEval(E=float("nan"), t_min=float(t_min), alpha=alpha,
-                       rank_eps=r_eps, c_min=c_min, t_second=float(t_second))
+    return c, V @ x, r_eps
 
 
 def classical_tension(alpha, A, B):

@@ -176,7 +176,7 @@ class TestSqrtFactor:
         # rotation min_tension takes
         X = rng.standard_normal((30, 30))
         H = (X * np.logspace(0, -20, 30)) @ X.T
-        B, r, (V, D) = sqrt_factor(0.5 * (H + H.T))
+        B, r, [(_, V, D)] = sqrt_factor(0.5 * (H + H.T))
         assert 0 < r < 30 and D.shape == (r, r)
         scale = np.abs(B).max()
         assert np.abs(V.T @ V - np.eye(30)).max() < 1e-14

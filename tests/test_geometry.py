@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from neuspec import (RadialCurve, arclength_spectral, area, build_grid,
-                     charge_points, contains, interior_grid)
+from neuspec import (RadialCurve, SystemBuilder, arclength_spectral, area,
+                     build_grid, charge_points, contains, interior_grid)
 from neuspec.errors import ChargePlacementError, InvalidCurveError
+from neuspec.geometry import mirror_fold, mirror_unfold
 
 
 def perimeter_oracle(curve, upper=2 * np.pi):
@@ -230,3 +231,72 @@ class TestComplexContinuation:
         h = 1e-6
         fd = (wobbly.position(t + h) - wobbly.position(t - h)) / (2 * h)
         assert np.abs(fd - wobbly.velocity(t)).max() < 1e-7
+
+
+def mirrored(n):
+    """The index n - i (mod n) paired with each i."""
+    return (-np.arange(n)) % n
+
+
+def class_basis(n, parity):
+    """S of the class, n x n_c, from ``mirror_unfold`` on the identity."""
+    return mirror_unfold(np.eye(len(mirror_fold(np.eye(n), parity))), n,
+                         parity)
+
+
+class TestReflection:
+    @pytest.mark.parametrize("curve, symmetric", [
+        (RadialCurve.radial(1.0, 0.3, 3, 0.2), True),
+        (RadialCurve.circle(), True),
+        (RadialCurve.trig([1.0, 0.1, 0.05]), True),
+        (RadialCurve.trig([1.0, 0.1, 0.05], [0.0, 0.0]), True),
+        (RadialCurve.trig([1.0, 0.1], [0.0, 0.05]), False)])
+    def test_symmetry_from_curve(self, curve, symmetric):
+        assert curve.symmetric is symmetric
+        assert SystemBuilder(curve, 16, 16, 0.05).classes == (
+            (1, -1) if symmetric else (0,))
+
+    def test_no_odd_class_below_three_charges(self, wobbly):
+        # with N <= 2 every charge is its own mirror: one (even) class
+        assert SystemBuilder(wobbly, 16, 2, 0.05).classes == (0,)
+        assert SystemBuilder(wobbly, 16, 3, 0.05).classes == (1, -1)
+
+    @pytest.mark.parametrize("curve", [RadialCurve.radial(1.0, 0.3, 3, 0.2),
+                                       RadialCurve.trig([1.0, 0.1, 0.05])],
+                             ids=["radial", "trig"])
+    @pytest.mark.parametrize("M, N", [(64, 32), (100, 33), (700, 350)])
+    def test_nodes_and_charges_mirror(self, curve, M, N):
+        # node m and M - m, charge n and N - n are mirror images under
+        # y -> -y to a few ulps of the largest coordinate (measured: 7.1)
+        ulp = np.finfo(float).eps
+        x = build_grid(curve, M).x
+        y = charge_points(curve, N, 0.05).y
+        for p, n in ((x, M), (y, N)):
+            err = np.abs(p[mirrored(n)] - p * [1.0, -1.0]).max()
+            assert err <= 16 * ulp * np.abs(p).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+    def test_classes_split_an_orthonormal_basis(self, n):
+        S = np.hstack([class_basis(n, 1), class_basis(n, -1)])
+        assert S.shape == (n, n)
+        assert np.abs(S.T @ S - np.eye(n)).max() < 1e-15
+        # even columns are even under the pairing, odd ones odd
+        even = class_basis(n, 1)
+        assert np.array_equal(even[mirrored(n)], even)
+        odd = class_basis(n, -1)
+        assert np.array_equal(odd[mirrored(n)], -odd)
+
+    @pytest.mark.parametrize("shape", [(8, 6), (9, 7), (12, 12)])
+    @pytest.mark.parametrize("parity", [1, -1])
+    def test_fold_and_unfold_are_the_basis(self, rng, shape, parity):
+        X = rng.standard_normal(shape)
+        S_r, S_c = (class_basis(n, parity) for n in shape)
+        assert np.abs(mirror_fold(X, parity) - S_r.T @ X @ S_c).max() < 1e-14
+        Y = rng.standard_normal((S_c.shape[1], 3))
+        unfolded = mirror_unfold(Y, shape[1], parity)
+        assert np.abs(unfolded - S_c @ Y).max() < 1e-15
+
+    def test_parity_zero_is_the_identity(self, rng):
+        X = rng.standard_normal((6, 4))
+        assert mirror_fold(X, 0) is X
+        assert mirror_unfold(X, 6, 0) is X

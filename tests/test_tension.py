@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from neuspec import (TensionSolver, classical_tension, jnprime_zero,
-                     min_tension)
+from neuspec import (RadialCurve, TensionSolver, classical_tension,
+                     interior_norm_matrix, jnprime_zero, min_tension,
+                     sqrt_factor)
 from neuspec.errors import NoInteriorMassError, RankCollapseError
 
 
@@ -186,13 +187,13 @@ class TestQRReduction:
             pytest.approx(res.t_min, rel=1e-10))
 
     def test_disc_stack_takes_qr_path(self, disc, monkeypatch):
-        # the rotated stack's condition estimate reads 2e13 to 3e13 here,
-        # below 1/eps (module docstring)
+        # each class's rotated stack has a condition estimate below 1/eps
+        # here (module docstring): one SVD per class
         system = TensionSolver(disc, 256, 128, 0.1).builder.system(27.72 ** 2)
         res, n_svd = count_svd_calls(
             monkeypatch, lambda: min_tension(system.A_w, system.B,
                                              basis=system.basis))
-        assert n_svd == 1
+        assert n_svd == len(system.basis) == 2
         assert res.rank_eps == 128
 
 
@@ -224,7 +225,8 @@ class TestSecondTension:
         assert res.t_second >= res.t_min
 
     @pytest.mark.parametrize("n, l, double", [
-        (5, 2, True), (12, 1, True), (0, 3, False), (0, 5, False)])
+        (5, 2, True), (12, 1, True), (9, 7, True), (0, 3, False),
+        (0, 5, False)])
     def test_disc_multiplicity(self, disc, n, l, double):
         # every disc mode with n >= 1 is double, n = 0 modes are simple
         solver = TensionSolver(disc, 256, 128, 0.1)
@@ -310,3 +312,50 @@ class TestRowSpaceReduction:
         min_tension(A, B)
         # the triangular factor of Q_A W, square of the rank of B
         assert shapes == [(B.shape[0], B.shape[0])]
+
+
+def full_stack_tension(solver, E):
+    """(min_tension, B) on the whole stack: H factored as one class, as
+    before the reflection split."""
+    b = solver.builder
+    B, _, basis = sqrt_factor(interior_norm_matrix(b.grid, *b.traces(E), E))
+    return min_tension(b.system(E).A_w, B, basis=basis), B
+
+
+class TestReflectionClasses:
+    def test_asymmetric_curve_is_one_class(self):
+        # a sine term breaks the symmetry: the one class is the whole stack,
+        # bit for bit
+        solver = TensionSolver(RadialCurve.trig([1.0, 0.1, 0.05], [0.08]),
+                               128, 64, 0.1)
+        E = 10.3 ** 2
+        ev = solver.evaluate(E)
+        full, B = full_stack_tension(solver, E)
+        assert solver.builder.classes == (0,)
+        assert ev.t_min == full.t_min
+        assert np.array_equal(ev.alpha, full.alpha)
+        assert ev.t_classical == classical_tension(
+            full.alpha, solver.builder.system(E).A_nor, B)
+
+    @pytest.mark.parametrize("domain, M, N, tau, sqrtE", [
+        ("wobbly", 700, 350, 0.025, 40.525),
+        ("wobbly", 700, 349, 0.025, 40.525),
+        ("disc", 128, 64, 0.1, 10.3),
+        ("disc", 256, 33, 0.1, 12.3)])
+    def test_split_matches_full_stack(self, request, domain, M, N, tau,
+                                      sqrtE):
+        # measured: within 1.2e-10 relative, t_second within 6e-11
+        solver = TensionSolver(request.getfixturevalue(domain), M, N, tau)
+        E = sqrtE ** 2
+        ev = solver.evaluate(E)
+        full, _ = full_stack_tension(solver, E)
+        system = solver.builder.system(E)
+        assert solver.builder.classes == (1, -1)
+        assert ev.t_min == pytest.approx(full.t_min, rel=1e-8)
+        assert ev.t_second == pytest.approx(full.t_second, rel=1e-8)
+        assert ev.rank_eps == full.rank_eps == N
+        assert ev.rank_H == sum(D.shape[1] for _, _, D in system.basis)
+        # the minimizer lies in one class: even or odd under n <-> N - n
+        mirrored = ev.alpha[(-np.arange(N)) % N]
+        assert (np.array_equal(mirrored, ev.alpha)
+                or np.array_equal(mirrored, -ev.alpha))
