@@ -56,7 +56,6 @@ class TensionSystem:
     A_w: np.ndarray      # F @ A_nor, the filtered normal derivative
     A_nor: np.ndarray
     B: np.ndarray        # B^T B ~= H, the interior-norm form
-    rank_H: int
     basis: tuple         # sqrt_factor's (parity, V, D) per class
 
 
@@ -206,6 +205,5 @@ class SystemBuilder:
         A_val, A_nor, A_tan, A_dil = self.traces(E)
         A_w = build_filter_matrix(self.grid, 1.0 / np.sqrt(E)) @ A_nor
         H = interior_norm_matrix(self.grid, A_val, A_nor, A_tan, A_dil, E)
-        B, rank_H, basis = sqrt_factor(H, self.classes)
-        return TensionSystem(A_w=A_w, A_nor=A_nor, B=B, rank_H=rank_H,
-                             basis=basis)
+        B, _, basis = sqrt_factor(H, self.classes)
+        return TensionSystem(A_w=A_w, A_nor=A_nor, B=B, basis=basis)

@@ -169,7 +169,6 @@ def _add_system(p):
     p.add_argument("--M", type=int)
     p.add_argument("--N", type=int)
     p.add_argument("--tau", type=float)
-    p.add_argument("--eps", type=float)
 
 
 def _solver(args):
@@ -179,8 +178,7 @@ def _solver(args):
     curve = parse_curve(args.curve)
     from .search import TensionSolver
 
-    return TensionSolver(curve, args.M, args.N, args.tau,
-                         **_given(args, eps="eps"))
+    return TensionSolver(curve, args.M, args.N, args.tau)
 
 
 def _add_common(p):
@@ -206,9 +204,7 @@ def build_parser():
     p = sub.add_parser("solve", help="localize one eigenvalue in a bracket")
     p.add_argument("--f0", type=float)
     p.add_argument("--f1", type=float)
-    p.add_argument("--tol", type=float)
     p.add_argument("--cest", type=float)
-    p.add_argument("--cenn", type=float)
     p.add_argument("--coarse", type=int, default=21,
                    help="presolve scan samples across the bracket")
     _add_system(p)
@@ -261,9 +257,7 @@ def cmd_solve(args):
 
     t_start = time.perf_counter()
     res = localize_minimum(_solver(args), (args.f0, args.f1),
-                           coarse=args.coarse,
-                           **_given(args, tol="tol", c_est="cest",
-                                    c_ennenbach="cenn"))
+                           coarse=args.coarse, **_given(args, c_est="cest"))
     for f, msg in res.presolve_failures:
         print(f"solve: presolve failed at sqrtE={_fmt(f)}: {msg}", file=sys.stderr)
     wall = time.perf_counter() - t_start

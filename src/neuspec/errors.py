@@ -57,7 +57,7 @@ class DegenerateNormError(NeuspecError):
 
 
 class RankCollapseError(NeuspecError):
-    """Stacked matrix has numerical rank zero at the requested cutoff."""
+    """Stacked matrix has numerical rank zero at the cutoff ``tension.EPS``."""
 
 
 class NoInteriorMassError(NeuspecError):

@@ -62,11 +62,11 @@ from .assembly import SystemBuilder
 from .errors import (ConvergenceFailureError, DomainError, NeuspecError,
                      NumericalError)
 from .geometry import area, arclength_spectral
-from .tension import EPS_DEFAULT, classical_tension, min_tension
+from .tension import classical_tension, min_tension
 
 TOL_DEFAULT = 1e-13
 C_EST_DEFAULT = 1.6
-C_ENNENBACH_DEFAULT = 7.4
+C_ENNENBACH = 7.4
 T_ROUNDING_ULPS = 10.0
 V_FIT_TOL = 0.02
 
@@ -133,24 +133,22 @@ class EigenResult:
 
 class TensionSolver:
     """Minimum-tension evaluator for one discretization: the ``curve``, M
-    boundary nodes, N charges at distance tau and the SVD cutoff ``eps``.
+    boundary nodes and N charges at distance tau.
 
     It holds only energy-independent data, set once in ``__init__``, so an
     evaluation does not depend on the ones before it.
     """
 
-    def __init__(self, curve, M, N, tau, eps=EPS_DEFAULT):
+    def __init__(self, curve, M, N, tau):
         self.curve = curve
         self.builder = SystemBuilder(curve, M, N, tau)
-        self.eps = eps
 
     def evaluate(self, E):
         """TensionEval at energy E, with coefficients normalized to unit
         interior norm, their classical tension and the rank of H."""
         system = self.builder.system(E)
-        ev = min_tension(system.A_w, system.B, eps=self.eps,
-                         basis=system.basis)
-        return replace(ev, E=float(E), rank_H=system.rank_H,
+        ev = min_tension(system.A_w, system.B, basis=system.basis)
+        return replace(ev, E=float(E), rank_H=len(system.B),
                        t_classical=classical_tension(ev.alpha, system.A_nor,
                                                      system.B))
 
@@ -312,12 +310,11 @@ def parabolic_min(fn, e_lo, e_hi, tol=TOL_DEFAULT, budget=60, e_mid=None):
     raise exhausted()
 
 
-def inclusion_bounds(E, t_min, t_clas, c_est=C_EST_DEFAULT,
-                     c_ennenbach=C_ENNENBACH_DEFAULT):
+def inclusion_bounds(E, t_min, t_clas, c_est=C_EST_DEFAULT):
     """Certified distances to the Neumann spectrum, new and classical."""
     if t_min < 0 or t_clas < 0:
         raise DomainError("tensions must be nonnegative")
-    return c_est * t_min, c_ennenbach * E * t_clas
+    return c_est * t_min, C_ENNENBACH * E * t_clas
 
 
 def weyl_index(curve, E):
@@ -329,8 +326,7 @@ def weyl_index(curve, E):
     return area(curve) * E / (4 * np.pi) + L * np.sqrt(E) / (4 * np.pi)
 
 
-def localize_minimum(solver, bracket, tol=TOL_DEFAULT, c_est=C_EST_DEFAULT,
-                     c_ennenbach=C_ENNENBACH_DEFAULT, coarse=0):
+def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
     """Locate one minimum of ``solver``'s tension inside a frequency bracket
     and certify it; ``weyl_index`` is taken on ``solver.curve``.
 
@@ -397,8 +393,7 @@ def localize_minimum(solver, bracket, tol=TOL_DEFAULT, c_est=C_EST_DEFAULT,
         return evals[E].t_min ** 2
 
     try:
-        E_star, _, n_evals = parabolic_min(tension_sq, E_lo, E_hi, tol=tol,
-                                           e_mid=E_mid)
+        E_star, _, n_evals = parabolic_min(tension_sq, E_lo, E_hi, e_mid=E_mid)
         # parabolic_min returns a bracket end bit-exactly, so `in` finds it
         converged = E_star not in (E_lo, E_hi)
     except ConvergenceFailureError as exc:
@@ -412,7 +407,7 @@ def localize_minimum(solver, bracket, tol=TOL_DEFAULT, c_est=C_EST_DEFAULT,
 
     t_bound = best.t_min + T_ROUNDING_ULPS * _UNIT_ROUNDOFF * E_star
     eps_new, eps_clas = inclusion_bounds(E_star, t_bound, best.t_classical,
-                                         c_est=c_est, c_ennenbach=c_ennenbach)
+                                         c_est=c_est)
     return EigenResult(sqrtE=float(np.sqrt(E_star)), E=float(E_star),
                        t_min=float(t_bound), t_classical=float(best.t_classical),
                        alpha=best.alpha, eps_new=float(eps_new),

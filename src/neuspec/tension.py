@@ -29,17 +29,17 @@ A_w Y; 0, D], D = diag(sqrt(lambda)):
 
 A numerically singular T would amplify directions by 1/sigma_min, so the
 code then takes the truncated SVD of T, dropping singular values below
-``eps`` (``EPS_DEFAULT`` = 1e-14) times the largest (Betcke 2008);
-``rank_eps`` counts the kept ones, the class's column count on the QR
-path.  That path is taken when LAPACK's 1-norm estimate (``trcon``)
-satisfies cond_est(T) * eps < QR_COND_LIMIT = 1.  The estimate is no
-bound: per class it read 13 to 133 times the true 2-norm condition on the
-three-lobe domain (a0=1, eps=0.3, k=3, b=0.2), but 0.8 to 2.8 times on the
-unit disc (M=256, N=128, tau=0.1, sqrtE in [27.708, 27.748]: 6.2e12 to
-2.5e13 against 3.7e12 to 1.2e13).  So every admitted stack measured had a
-true condition number 8 times below 1/eps, where the truncated SVD keeps
-every singular value.  Per class (even|odd; SVD marks the fallback, and
-"whole" is the estimate for the unsplit stack):
+``EPS`` = 1e-14 times the largest (Betcke 2008); ``rank_eps`` counts the
+kept ones, the class's column count on the QR path.  That path is taken
+when LAPACK's 1-norm estimate (``trcon``) of the reciprocal condition
+satisfies rcond(T) > EPS.  The estimate is no bound: per class it read 13
+to 133 times the true 2-norm condition on the three-lobe domain (a0=1,
+eps=0.3, k=3, b=0.2), but 0.8 to 2.8 times on the unit disc (M=256, N=128,
+tau=0.1, sqrtE in [27.708, 27.748]: 6.2e12 to 2.5e13 against 3.7e12 to
+1.2e13).  So every admitted stack measured had a true condition number 8
+times below 1/EPS, where the truncated SVD keeps every singular value.
+Per class (even|odd; SVD marks the fallback, and "whole" is the estimate
+for the unsplit stack):
 
   M    N    tau     sqrtE cond_est       true cond      rank_eps       whole
   700  350  0.02    40.53 2.1e10|1.6e10  1.2e9|1.1e9    176|174        2.0e10
@@ -51,6 +51,13 @@ every singular value.  Per class (even|odd; SVD marks the fallback, and
   1400 700  0.025   80.9  4.2e16|4.2e16  6.6e14|5.9e14  247|246 SVD    5.6e16
   2800 1400 0.00625 161.8 1.6e13|1.9e13  3.1e11|3.0e11  701|699        2.2e13
   5000 2500 0.004   405.0 1.2e15|1.1e15  9.0e12|8.9e12  1251|1249 SVD  1.6e15
+
+Forced onto the QR path, a singular stack misreports.  On 10 pairs sharing
+a 3-dimensional null space (the tests' ``shared_null_pair``, seed 20240817)
+it read t_min 0.31 to 1.00 where its alpha attains 0.80 to 2.57, against
+0.76 to 1.24 from the fallback and the full-basis reference; on 40
+``ill_conditioned_pair`` stacks it returned ||alpha|| 5e6 to 1.7e12, the
+fallback 0.2 to 2.3.
 """
 
 from dataclasses import dataclass
@@ -62,8 +69,7 @@ from scipy.linalg.lapack import dtrcon
 from .errors import DomainError, NoInteriorMassError, RankCollapseError
 from .geometry import mirror_fold, mirror_unfold
 
-EPS_DEFAULT = 1e-14
-QR_COND_LIMIT = 1.0
+EPS = 1e-14
 
 
 @dataclass(frozen=True)
@@ -90,15 +96,14 @@ class TensionEval:
     rank_H: int = 0
 
 
-def min_tension(A_w, B, eps=EPS_DEFAULT, basis=None):
+def min_tension(A_w, B, basis=None):
     """Minimize ||A_w a|| / ||B a|| over coefficient vectors a.
 
     ``basis``, one (parity, V, D) per reflection class as ``sqrt_factor``
     returns it with B, splits the problem into its classes and rotates each
     (module docstring); without it, a complete QR of B^T gives one class's
-    V and D.  ``eps`` is the relative singular-value cutoff for each class's
-    stack; it also sets when the QR path is taken.  The returned alpha is
-    normalized so that ||B alpha|| = 1, i.e. unit interior norm.
+    V and D.  The returned alpha is normalized so that ||B alpha|| = 1, i.e.
+    unit interior norm.
     """
     A_w = np.asarray(A_w, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -113,7 +118,7 @@ def min_tension(A_w, B, eps=EPS_DEFAULT, basis=None):
     N = A_w.shape[1]
     parts = []
     for parity, V, D in basis:
-        c, a, r_eps = _rotated_min(mirror_fold(A_w, parity), V, D, eps)
+        c, a, r_eps = _rotated_min(mirror_fold(A_w, parity), V, D)
         parts.append((c, mirror_unfold(a, N, parity), r_eps))
     parts.sort(key=lambda part: part[0][-1])
     (c, alpha, _), others = parts[0], parts[1:]
@@ -137,7 +142,7 @@ def min_tension(A_w, B, eps=EPS_DEFAULT, basis=None):
                        t_second=float(t_second))
 
 
-def _rotated_min(A_w, V, D, eps):
+def _rotated_min(A_w, V, D):
     """(c, a, rank_eps) of one class: the singular values c of Q_A on the
     row space of Q_B, descending, and a = V x, x the coefficients of the
     smallest (module docstring, steps 1-3 and the fallback)."""
@@ -148,15 +153,15 @@ def _rotated_min(A_w, V, D, eps):
         T = np.vstack([T, np.zeros((N - T.shape[0], N))])
     Q2, T[n0:, n0:] = np.linalg.qr(np.vstack([T[n0:, n0:], D]))
     rcond, _ = dtrcon(T)
-    if rcond * QR_COND_LIMIT > eps:
+    if rcond > EPS:
         _, c, Wt = np.linalg.svd(Q2[:r])
         r_eps = N
         x = solve_triangular(T, np.concatenate([np.zeros(n0), Wt[-1]]))
     else:
         Ur, sig, Xt = np.linalg.svd(T)
-        r_eps = int((sig >= eps * sig[0]).sum()) if sig[0] > 0 else 0
+        r_eps = int((sig >= EPS * sig[0]).sum()) if sig[0] > 0 else 0
         if r_eps == 0:
-            raise RankCollapseError("numerical rank zero at cutoff eps")
+            raise RankCollapseError("numerical rank zero at cutoff EPS")
         # the kept basis is the QR path's times Ur: Q_A's SVD on W, the row
         # space of its B rows
         Ur = Ur[:, :r_eps]

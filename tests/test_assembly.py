@@ -196,7 +196,7 @@ class TestAssembleSystem:
         E = jnprime_zero(30, 1) ** 2
         b = SystemBuilder(disc, 128, 64, 0.1)
         sys_ = b.system(E)
-        assert sys_.rank_H >= 1
+        assert len(sys_.B) >= 1
         assert np.isfinite(sys_.A_w).all()
         assert np.isfinite(interior_norm_matrix(b.grid, *b.traces(E), E)).all()
 

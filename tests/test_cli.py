@@ -191,13 +191,19 @@ class TestSolveCommand:
         assert "--coarse" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    SWEEP = ["sweep", "--fmin", "3.0", "--fmax", "3.4", "--steps", "3"]
+    SOLVE = ["solve", "--f0", "3.80", "--f1", "3.86", "--coarse", "5"]
+
     @pytest.mark.parametrize("argv,key", [
-        (["sweep", "--fmin", "3.0", "--fmax", "3.4", "--steps", "3"],
-         "bogus=3"),
+        (SWEEP, "bogus=3"),
         # the library's name; the option is --cest
-        (["solve", "--f0", "3.80", "--f1", "3.86", "--coarse", "5"],
-         "c_est=2.0"),
-    ], ids=["sweep-bogus", "solve-c_est"])
+        (SOLVE, "c_est=2.0"),
+        # the SVD cutoff, search tolerance and classical constant are fixed
+        (SWEEP, "eps=1e-10"),
+        (SOLVE, "tol=1e-9"),
+        (SOLVE, "cenn=3"),
+    ], ids=["sweep-bogus", "solve-c_est", "sweep-eps", "solve-tol",
+            "solve-cenn"])
     def test_config_unknown_key_usage_error(self, tmp_path, capsys, argv,
                                             key):
         cfg = tmp_path / "bad.cfg"
@@ -208,10 +214,19 @@ class TestSolveCommand:
         assert key.partition("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "x.out").exists()
 
+    @pytest.mark.parametrize("argv,flag", [
+        (SWEEP, "--eps=1e-10"), (SOLVE, "--tol=1e-9"),
+        (SOLVE, "--cenn=3")], ids=["eps", "tol", "cenn"])
+    def test_removed_flag_usage_error(self, tmp_path, argv, flag):
+        rc = run([*argv, "--curve", DISC, "--M", "64", "--N", "32", "--tau",
+                  "0.1", flag, "--out", str(tmp_path / "x.out")])
+        assert rc == 2
+        assert not (tmp_path / "x.out").exists()
+
 
 class TestLibraryDefaults:
-    """Without --eps/--tol/--cest/--cenn the commands print what the library
-    computes with its own defaults."""
+    """Without --cest the commands print what the library computes with its
+    own defaults."""
 
     SYSTEM = ["--curve", DISC, "--M", "64", "--N", "32", "--tau", "0.1"]
 
@@ -232,8 +247,8 @@ class TestLibraryDefaults:
     def test_sweep(self, tmp_path, disc):
         from neuspec import TensionSolver, sweep
 
-        # near j'_{20,2} the stack takes the truncated SVD, so the SVD
-        # cutoff shows in every column
+        # near j'_{20,2}: both samples take the QR path, each class's
+        # rcond estimate 6e-14 to 1.5e-13 against the cutoff 1e-14
         out = tmp_path / "s.csv"
         assert run(["sweep", "--curve", DISC, "--M", "256", "--N", "128",
                     "--tau", "0.1", "--fmin", "27.72", "--fmax", "27.74",
@@ -256,61 +271,6 @@ class TestLibraryDefaults:
         solver = TensionSolver(disc, 64, 32, 0.1)
         alpha = solver.evaluate(3.83 ** 2).alpha
         expect = point_source_sum(solver.builder.charges, alpha, 3.83 ** 2,
-                                  interior_grid(disc, 9).points)
-        assert np.array_equal(u, expect)
-
-
-class TestEpsFlag:
-    """``--eps`` reaches the solver each command builds: near j'_{20,2} the
-    stack takes the truncated SVD, so the cutoff shows in every output."""
-
-    SYSTEM = ["--curve", DISC, "--M", "256", "--N", "128", "--tau", "0.1",
-              "--eps", "1e-10"]
-
-    @pytest.fixture(scope="class")
-    def solver(self, disc):
-        from neuspec import TensionSolver
-
-        return TensionSolver(disc, 256, 128, 0.1, eps=1e-10)
-
-    def test_sweep(self, tmp_path, solver):
-        from neuspec import sweep
-
-        out = tmp_path / "s.csv"
-        assert run(["sweep", *self.SYSTEM, "--fmin", "27.72", "--fmax",
-                    "27.74", "--steps", "2", "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
-        samples = sweep(solver, 27.72, 27.74, 2)
-        assert len(rows) == len(samples)
-        for r, s in zip(rows, samples):
-            assert float(r["tension_min"]) == s.t_min
-            assert float(r["c_min"]) == s.c_min
-            assert int(r["rank_eps"]) == s.rank_eps
-
-    def test_solve(self, tmp_path, solver):
-        from neuspec import localize_minimum
-
-        out = tmp_path / "s.json"
-        rc = run(["solve", *self.SYSTEM, "--f0", "27.72", "--f1", "27.74",
-                  "--out", str(out)])
-        doc = json.loads(out.read_text())
-        res = localize_minimum(solver, (27.72, 27.74), coarse=21)
-        assert rc == (0 if res.converged else 3)
-        assert doc["converged"] is res.converged
-        for key in ("sqrtE", "E", "t_min", "t_classical", "eps_new",
-                    "eps_clas", "n_evals", "n_presolve", "slope", "t_second",
-                    "weyl_index"):
-            assert doc[key] == getattr(res, key), key
-
-    def test_mode(self, tmp_path, disc, solver):
-        from neuspec import interior_grid, point_source_sum
-
-        out = tmp_path / "m.csv"
-        assert run(["mode", *self.SYSTEM, "--freq", "27.73", "--nx", "9",
-                    "--out", str(out)]) == 0
-        u = np.array([float(r["u"]) for r in csv.DictReader(out.open())])
-        alpha = solver.evaluate(27.73 ** 2).alpha
-        expect = point_source_sum(solver.builder.charges, alpha, 27.73 ** 2,
                                   interior_grid(disc, 9).points)
         assert np.array_equal(u, expect)
 
