@@ -16,7 +16,7 @@ import importlib
 
 _EXPORTS = {
     "assembly": ("SystemBuilder", "TensionSystem", "interior_norm_matrix",
-                 "point_source_sum", "sqrt_factor"),
+                 "point_source_sum", "raster_sum", "sqrt_factor"),
     "disc": ("DiscMode", "boundary_ratio", "disc_modes_in_window",
              "interior_norm_disc", "quasi_orth_gram_norm", "weighted_ratio"),
     "geometry": ("BoundaryGrid", "ChargeSet", "InteriorGrid", "RadialCurve",

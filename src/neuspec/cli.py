@@ -147,12 +147,17 @@ def _require(args, *names):
 
 
 def _require_energy(args, *names):
-    """Usage error for the first of ``names`` <= 0 or whose square is 0."""
+    """Usage error for the first of ``names`` <= 0 or whose square is 0;
+    returns the squares, the energies, in the order of ``names``."""
+    energies = []
     for name in names:
         f = getattr(args, name)
-        if not (f > 0 and f ** 2 > 0):
+        E = f ** 2
+        if not (f > 0 and E > 0):
             raise UsageError(f"--{name}: need {name} > 0 and E = {name}^2 "
                              f"> 0, got {name} = {f!r}")
+        energies.append(E)
+    return energies
 
 
 def _given(args, **options):
@@ -303,18 +308,16 @@ _MODE_CSV_ROWS = 4096
 def cmd_mode(args):
     _require(args, "freq", "nx", "out")
     # the library would take |freq| without complaint
-    _require_energy(args, "freq")
+    E, = _require_energy(args, "freq")
     solver = _solver(args)
     import numpy as np
 
-    from .assembly import point_source_sum
+    from .assembly import raster_sum
     from .geometry import interior_grid
 
     # built first, so a bad --nx is reported before any evaluation runs
     grid = interior_grid(solver.curve, args.nx)
-    ev = solver.evaluate(args.freq ** 2)
-    vals = point_source_sum(solver.builder.charges, ev.alpha, args.freq ** 2,
-                            grid.points)
+    vals = raster_sum(solver.builder, solver.evaluate(E).alpha, E, grid)
     # every index and coordinate is formatted once, not once per row;
     # ``:.17g`` on a Python float gives the bytes of :func:`_fmt`
     s_ix = [str(i) for i in range(len(grid.xs))]

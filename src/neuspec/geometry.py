@@ -21,6 +21,7 @@ the even class, (e_n - e_{N-n})/sqrt2 the odd one; ``mirror_fold`` and
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,17 +171,25 @@ class InteriorGrid:
     ys: np.ndarray       # (nx,) grid ordinates
     inside: np.ndarray   # (nx, nx) bool, indexed [iy, ix]
 
-    @property
-    def points(self):
-        """(K, 2) interior points, row-major over (iy, ix)."""
-        iy, ix = np.nonzero(self.inside)
-        return np.stack([self.xs[ix], self.ys[iy]], axis=1)
-
-    @property
+    @cached_property
     def indices(self):
-        """(K, 2) integer (ix, iy) pairs matching :attr:`points`."""
+        """(K, 2) integer (ix, iy) pairs of the interior points, row-major
+        over (iy, ix); formed once per grid and read-only, like
+        :attr:`points`."""
         iy, ix = np.nonzero(self.inside)
-        return np.stack([ix, iy], axis=1)
+        return _read_only(np.stack([ix, iy], axis=1))
+
+    @cached_property
+    def points(self):
+        """(K, 2) interior points matching :attr:`indices`."""
+        ix, iy = self.indices.T
+        return _read_only(np.stack([self.xs[ix], self.ys[iy]], axis=1))
+
+
+def _read_only(a):
+    """``a``, no longer writable: a cached array is shared by every caller."""
+    a.flags.writeable = False
+    return a
 
 
 def arclength_spectral(curve, M):

@@ -9,8 +9,10 @@ arguments raise instead of degrading.
 
 Y0 and Y1 are the kernels of every assembly.  Only the ``mode`` raster's Y0
 runs on several threads, :func:`kernel_threads` of them, in the workers of
-``assembly.point_source_sum``; scipy's loops release the interpreter lock
-and take each element on its own, so the values are bit-equal for any count.
+``assembly.point_source_sum``, which ``assembly.raster_sum`` calls once per
+raster (on half of it for a curve symmetric under y -> -y); scipy's loops
+release the interpreter lock and take each element on its own, so the
+values are bit-equal for any count.
 """
 
 import os

@@ -7,9 +7,10 @@ import pytest
 
 import neuspec.assembly
 import neuspec.special
-from neuspec import (ChargeSet, SystemBuilder, build_filter_matrix, build_grid,
-                     charge_points, interior_norm_matrix, jnprime_zero,
-                     point_source_sum, sqrt_factor)
+from neuspec import (ChargeSet, InteriorGrid, RadialCurve, SystemBuilder,
+                     TensionSolver, build_filter_matrix, build_grid,
+                     charge_points, interior_grid, interior_norm_matrix,
+                     jnprime_zero, point_source_sum, raster_sum, sqrt_factor)
 from neuspec.errors import (DegenerateNormError, DomainError,
                             InvalidCurveError, SingularKernelError)
 from neuspec.special import bessel_y0
@@ -350,6 +351,90 @@ class TestPointSourceSum:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 1e6
+
+
+class TestRasterSum:
+    """On a symmetric curve ``raster_sum`` evaluates half the raster and
+    mirrors the rest; the mirror holds for any coefficients, so it agrees
+    with the whole-raster sum to rounding."""
+
+    def whole(self, builder, alpha, E, grid):
+        return point_source_sum(builder.charges, alpha, E, grid.points)
+
+    def assert_close(self, u, expect):
+        assert np.max(np.abs(u - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("nx", [60, 61])
+    @pytest.mark.parametrize("coefficients", ["evaluated", "random"])
+    @pytest.mark.parametrize("domain", ["disc", "lobe"])
+    def test_matches_whole_raster(self, disc, wobbly, rng, domain,
+                                  coefficients, nx):
+        curve, M, N, tau, sqrtE = {
+            "disc": (disc, 64, 32, 0.1, 3.83),
+            "lobe": (wobbly, 256, 128, 0.025, 10.3)}[domain]
+        solver = TensionSolver(curve, M, N, tau)
+        E = sqrtE ** 2
+        alpha = (solver.evaluate(E).alpha if coefficients == "evaluated"
+                 else rng.standard_normal(N))
+        grid = interior_grid(curve, nx)
+        self.assert_close(raster_sum(solver.builder, alpha, E, grid),
+                          self.whole(solver.builder, alpha, E, grid))
+
+    @pytest.mark.parametrize("curve,N", [
+        (RadialCurve.trig([1.0, 0.1, 0.05], [0.08]), 32),
+        (RadialCurve.circle(), 2), (RadialCurve.circle(), 1)],
+        ids=["trig", "disc-N2", "disc-N1"])
+    def test_one_class_is_the_whole_sum(self, rng, curve, N):
+        builder = SystemBuilder(curve, 64, N, 0.1)
+        assert builder.classes == (0,)
+        alpha = rng.standard_normal(N)
+        grid = interior_grid(curve, 41)
+        assert np.array_equal(raster_sum(builder, alpha, 16.0, grid),
+                              self.whole(builder, alpha, 16.0, grid))
+
+    @pytest.mark.parametrize("dropped", ["evaluated-half", "mirrored-half"])
+    def test_twin_outside_mask_is_evaluated(self, disc, rng, dropped):
+        """With one point dropped from the mask, in either half, its twin
+        still gets its own value."""
+        full = interior_grid(disc, 41)
+        inside = full.inside.copy()
+        iy = 30 if dropped == "evaluated-half" else 10   # 2 iy >= 40, or not
+        inside[iy, 20] = False
+        assert inside[40 - iy, 20]
+        grid = InteriorGrid(xs=full.xs, ys=full.ys, inside=inside)
+        builder = SystemBuilder(disc, 64, 32, 0.1)
+        alpha = rng.standard_normal(32)
+        self.assert_close(raster_sum(builder, alpha, 16.0, grid),
+                          self.whole(builder, alpha, 16.0, grid))
+
+    def lobe_raster(self, wobbly, rng):
+        # blocks of 1024 points: the evaluated half spans several
+        builder = SystemBuilder(wobbly, 128, 64, 0.05)
+        return builder, rng.standard_normal(64), interior_grid(wobbly, 101)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_bit_equal_for_any_thread_count(self, wobbly, rng, monkeypatch,
+                                            threads):
+        builder, alpha, grid = self.lobe_raster(wobbly, rng)
+        monkeypatch.setattr(neuspec.assembly, "kernel_threads", lambda: 1)
+        one = raster_sum(builder, alpha, 100.0, grid)
+        monkeypatch.setattr(neuspec.assembly, "kernel_threads",
+                            lambda: threads)
+        assert np.array_equal(raster_sum(builder, alpha, 100.0, grid), one)
+
+    def test_half_the_y0_values(self, wobbly, rng, monkeypatch):
+        builder, alpha, grid = self.lobe_raster(wobbly, rng)
+        elems = []
+        real = neuspec.special.bessel_y0
+
+        def counting(x, out=None):
+            elems.append(x.size)
+            return real(x, out=out)
+
+        monkeypatch.setattr(neuspec.special, "bessel_y0", counting)
+        monkeypatch.setattr(neuspec.assembly, "kernel_threads", lambda: 1)
+        raster_sum(builder, alpha, 100.0, grid)
+        assert sum(elems) <= 0.51 * len(grid.points) * builder.charges.N
 
 
 class TestSetupGeometry:

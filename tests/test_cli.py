@@ -262,7 +262,7 @@ class TestLibraryDefaults:
             assert int(r["rank_eps"]) == s.rank_eps
 
     def test_mode(self, tmp_path, disc):
-        from neuspec import TensionSolver, interior_grid, point_source_sum
+        from neuspec import TensionSolver, interior_grid, raster_sum
 
         out = tmp_path / "m.csv"
         assert run(["mode", *self.SYSTEM, "--freq", "3.83", "--nx", "9",
@@ -270,8 +270,8 @@ class TestLibraryDefaults:
         u = np.array([float(r["u"]) for r in csv.DictReader(out.open())])
         solver = TensionSolver(disc, 64, 32, 0.1)
         alpha = solver.evaluate(3.83 ** 2).alpha
-        expect = point_source_sum(solver.builder.charges, alpha, 3.83 ** 2,
-                                  interior_grid(disc, 9).points)
+        expect = raster_sum(solver.builder, alpha, 3.83 ** 2,
+                            interior_grid(disc, 9))
         assert np.array_equal(u, expect)
 
 
@@ -287,7 +287,7 @@ class TestModeCommand:
 
     def test_csv_reads_back_bit_equal(self, tmp_path, disc):
         """More rows than one CSV chunk and one Y0 chunk."""
-        from neuspec import TensionSolver, interior_grid, point_source_sum
+        from neuspec import TensionSolver, interior_grid, raster_sum
 
         out = tmp_path / "m.csv"
         assert run(["mode", "--curve", DISC, "--freq", "3.83", "--M", "64",
@@ -296,9 +296,8 @@ class TestModeCommand:
         rows = list(csv.DictReader(out.open()))
         grid = interior_grid(disc, 111)
         solver = TensionSolver(disc, 64, 32, 0.1)
-        expect = point_source_sum(solver.builder.charges,
-                                  solver.evaluate(3.83 ** 2).alpha,
-                                  3.83 ** 2, grid.points)
+        expect = raster_sum(solver.builder, solver.evaluate(3.83 ** 2).alpha,
+                            3.83 ** 2, grid)
         assert len(rows) == len(expect) > 8192
         assert np.array_equal([[int(r["ix"]), int(r["iy"])] for r in rows],
                               grid.indices)
