@@ -7,12 +7,15 @@ ch. 5); the tests check them against series, identities and mpmath.  The
 ranges are capped at what the solver and the disc data need; out-of-range
 arguments raise instead of degrading.
 
-Y0 and Y1 are the kernels of every assembly.  Only the ``mode`` raster's Y0
-runs on several threads, :func:`kernel_threads` of them, in the workers of
+Y0 and Y1 are the kernels of every assembly.  Only the ``mode`` raster's
+near field, its Y0 at the points near a charge, runs on several threads:
+:func:`kernel_threads` of them, in the workers of
 ``assembly.point_source_sum``, which ``assembly.raster_sum`` calls once per
 raster (on half of it for a curve symmetric under y -> -y); scipy's loops
 release the interpreter lock and take each element on its own, so the
-values are bit-equal for any count.
+values are bit-equal for any count.  The raster's far field takes one Y0
+and one Y1 per far tile and charge, at the tile centres, on the calling
+thread, like the traces.
 """
 
 import os
@@ -39,7 +42,8 @@ def _cores():
 
 
 def kernel_threads():
-    """Threads the ``mode`` raster's Y0 evaluations use: the first of
+    """Threads the ``mode`` raster's near-field Y0 evaluations use (the
+    far field's stay on the calling thread): the first of
     OPENBLAS_NUM_THREADS and OMP_NUM_THREADS that holds a positive integer,
     else the number of cores this process may run on, capped at that
     number."""

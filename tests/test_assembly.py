@@ -354,15 +354,40 @@ class TestPointSourceSum:
 
 
 class TestRasterSum:
-    """On a symmetric curve ``raster_sum`` evaluates half the raster and
-    mirrors the rest; the mirror holds for any coefficients, so it agrees
-    with the whole-raster sum to rounding."""
+    """``raster_sum`` evaluates half of a symmetric raster and mirrors the
+    rest, and sums far tiles through local expansions; both hold for any
+    coefficients, so it agrees with the whole-raster sum to rounding."""
 
     def whole(self, builder, alpha, E, grid):
         return point_source_sum(builder.charges, alpha, E, grid.points)
 
     def assert_close(self, u, expect):
         assert np.max(np.abs(u - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def direct(self, builder, alpha, E, grid):
+        """The sum over one Y0 matrix of every point and charge, and its
+        cancellation scale S = max_p sum_n |alpha_n Y0(k |p - y_n|)|."""
+        p, y = grid.points, builder.charges.y
+        Y = bessel_y0(np.sqrt(E) * np.hypot(p[:, :1] - y[:, 0],
+                                            p[:, 1:] - y[:, 1]))
+        return Y @ alpha, np.max(np.abs(Y * alpha).sum(axis=1))
+
+    def assert_within_rounding(self, u, builder, alpha, E, grid):
+        expect, S = self.direct(builder, alpha, E, grid)
+        assert np.max(np.abs(u - expect)) <= 1e-14 * S
+
+    @pytest.fixture
+    def near_points(self, monkeypatch):
+        """The number of points each ``point_source_sum`` call evaluates."""
+        calls = []
+        real = neuspec.assembly.point_source_sum
+
+        def recording(charges, alpha, E, points):
+            calls.append(len(points))
+            return real(charges, alpha, E, points)
+
+        monkeypatch.setattr(neuspec.assembly, "point_source_sum", recording)
+        return calls
 
     @pytest.mark.parametrize("nx", [60, 61])
     @pytest.mark.parametrize("coefficients", ["evaluated", "random"])
@@ -380,6 +405,31 @@ class TestRasterSum:
         self.assert_close(raster_sum(solver.builder, alpha, E, grid),
                           self.whole(solver.builder, alpha, E, grid))
 
+    @pytest.mark.parametrize("nx", [100, 101])
+    @pytest.mark.parametrize("coefficients", ["evaluated", "random"])
+    @pytest.mark.parametrize("domain", ["lobe-0.025", "lobe-0.01",
+                                        "deep-lobe", "disc"])
+    def test_far_tiles_within_rounding(self, disc, wobbly, rng, near_points,
+                                       domain, coefficients, nx):
+        """Where local expansions take much of the raster, the sum stays
+        within 1e-14 S of the direct one.  On the disc at tau=0.1 the
+        evaluated |alpha| is 4.7e5: the error there reads 5e-10 max|u|, but
+        1.6e-15 S."""
+        curve, M, N, tau, sqrtE = {
+            "lobe-0.025": (wobbly, 256, 128, 0.025, 20.3),
+            "lobe-0.01": (wobbly, 256, 128, 0.01, 20.3),
+            "deep-lobe": (RadialCurve.radial(1.0, 0.5, 3, 0.2), 256, 128,
+                          0.025, 20.4269),
+            "disc": (disc, 192, 96, 0.1, 15.0)}[domain]
+        solver = TensionSolver(curve, M, N, tau)
+        E = sqrtE ** 2
+        alpha = (solver.evaluate(E).alpha if coefficients == "evaluated"
+                 else rng.standard_normal(N))
+        grid = interior_grid(curve, nx)
+        u = raster_sum(solver.builder, alpha, E, grid)
+        assert sum(near_points) < 0.4 * len(grid.points)
+        self.assert_within_rounding(u, solver.builder, alpha, E, grid)
+
     @pytest.mark.parametrize("curve,N", [
         (RadialCurve.trig([1.0, 0.1, 0.05], [0.08]), 32),
         (RadialCurve.circle(), 2), (RadialCurve.circle(), 1)],
@@ -389,8 +439,20 @@ class TestRasterSum:
         assert builder.classes == (0,)
         alpha = rng.standard_normal(N)
         grid = interior_grid(curve, 41)
-        assert np.array_equal(raster_sum(builder, alpha, 16.0, grid),
-                              self.whole(builder, alpha, 16.0, grid))
+        u = raster_sum(builder, alpha, 16.0, grid)
+        self.assert_close(u, self.whole(builder, alpha, 16.0, grid))
+        self.assert_within_rounding(u, builder, alpha, 16.0, grid)
+
+    def test_no_far_tile_is_point_source_sum(self, rng, near_points):
+        """A raster of a curve without the symmetry and with no far tile
+        takes the whole-raster call itself."""
+        curve = RadialCurve.trig([1.0, 0.1, 0.05], [0.08])
+        builder = SystemBuilder(curve, 64, 32, 0.1)
+        alpha = rng.standard_normal(32)
+        grid = interior_grid(curve, 41)
+        u = raster_sum(builder, alpha, 16.0, grid)
+        assert near_points == [len(grid.points)]
+        assert np.array_equal(u, self.whole(builder, alpha, 16.0, grid))
 
     @pytest.mark.parametrize("dropped", ["evaluated-half", "mirrored-half"])
     def test_twin_outside_mask_is_evaluated(self, disc, rng, dropped):
@@ -408,33 +470,45 @@ class TestRasterSum:
                           self.whole(builder, alpha, 16.0, grid))
 
     def lobe_raster(self, wobbly, rng):
-        # blocks of 1024 points: the evaluated half spans several
-        builder = SystemBuilder(wobbly, 128, 64, 0.05)
-        return builder, rng.standard_normal(64), interior_grid(wobbly, 101)
+        # k = 30: far tiles take most of the raster; blocks of 256 points:
+        # the near field spans several
+        builder = SystemBuilder(wobbly, 512, 256, 0.05)
+        return builder, rng.standard_normal(256), interior_grid(wobbly, 151)
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_bit_equal_for_any_thread_count(self, wobbly, rng, monkeypatch,
                                             threads):
         builder, alpha, grid = self.lobe_raster(wobbly, rng)
         monkeypatch.setattr(neuspec.assembly, "kernel_threads", lambda: 1)
-        one = raster_sum(builder, alpha, 100.0, grid)
+        one = raster_sum(builder, alpha, 900.0, grid)
         monkeypatch.setattr(neuspec.assembly, "kernel_threads",
                             lambda: threads)
-        assert np.array_equal(raster_sum(builder, alpha, 100.0, grid), one)
+        assert np.array_equal(raster_sum(builder, alpha, 900.0, grid), one)
 
     def test_half_the_y0_values(self, wobbly, rng, monkeypatch):
+        """The mirror halves the Y0 values, and the far tiles leave under a
+        tenth of the direct sum's Bessel values: the near field's Y0 on the
+        workers, one Y0 and one Y1 per far tile and charge on this thread."""
         builder, alpha, grid = self.lobe_raster(wobbly, rng)
-        elems = []
-        real = neuspec.special.bessel_y0
+        elems = {}
 
-        def counting(x, out=None):
-            elems.append(x.size)
-            return real(x, out=out)
+        def counting(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(neuspec.special, "bessel_y0", counting)
+            def count(x, *args, **kwargs):
+                elems[name] = elems.get(name, 0) + x.size
+                return real(x, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, count)
+
+        counting(neuspec.special, "bessel_y0")
+        counting(neuspec.assembly, "bessel_y0")
+        counting(neuspec.assembly, "bessel_y1")
         monkeypatch.setattr(neuspec.assembly, "kernel_threads", lambda: 1)
-        raster_sum(builder, alpha, 100.0, grid)
-        assert sum(elems) <= 0.51 * len(grid.points) * builder.charges.N
+        raster_sum(builder, alpha, 900.0, grid)
+        direct = len(grid.points) * builder.charges.N
+        assert elems["bessel_y0"] <= 0.51 * direct
+        assert sum(elems.values()) < 0.1 * direct
 
 
 class TestSetupGeometry:
