@@ -13,6 +13,13 @@ variables from ``--threads`` before anything starts the BLAS library.
 """
 
 import importlib
+import os
+
+# OpenBLAS's idle threads spin 2^t cycles after each call (t = 28, 0.13 s at
+# 2.1 GHz, by default) on the cores the kernel workers need, and wake at a cost.
+# On 2 vCPUs at 2.1 GHz lobe-solve's command took 441 ms with t = 22, 455 ms
+# with 20 and 575 ms with 28 (medians over 11, 12 and 6 processes).
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
 
 _EXPORTS = {
     "assembly": ("SystemBuilder", "TensionSystem", "interior_norm_matrix",

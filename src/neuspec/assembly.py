@@ -7,6 +7,8 @@ derivative), all with rows scaled by sqrt(w_m) so that Euclidean norms
 approximate boundary L2 norms.  ``SystemBuilder.system`` reduces them to what
 the tensions read: the filtered normal derivative A_w = F A_nor, the
 unfiltered A_nor for the classical tension, and the interior-norm factor B.
+The builder's tables and the traces are filled in row blocks on
+``special.kernel_threads()`` workers, bit-equal for any thread count.
 
 On a curve symmetric under y -> -y the problem splits into an even and an
 odd class (``geometry``).  The split comes after assembly: the traces, A_w
@@ -57,6 +59,7 @@ THETA_MAX = 0.35
 TILE_POINTS = 8
 TILE_TOL = 1e-16
 TILE_PAIRS = 16384
+ROW_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -351,10 +354,39 @@ def _local_values(kp, owner, L, C):
             / (d + z * s_n)[:, None])
 
 
+def _row_blocks(rows, cols, scratch, fill):
+    """``fill(lo, hi, buffers)`` for the blocks of ROW_BLOCK // cols rows
+    (one at least) of a rows x cols table.  Worker j of
+    :func:`kernel_threads` takes blocks j, j + threads, ... with its own
+    ``scratch`` buffers of shape (hi - lo, cols), allocated here (arrays
+    made on the workers would grow glibc's per-thread arenas).  One thread
+    fills the blocks inline and starts none.  Errors reach the caller."""
+    block = max(1, ROW_BLOCK // max(cols, 1))
+    starts = range(0, rows, block)
+    threads = min(kernel_threads(), len(starts))
+    buffers = np.empty((threads, scratch, block, cols))
+
+    def work(j):
+        for lo in starts[j::threads]:
+            hi = min(lo + block, rows)
+            fill(lo, hi, buffers[j, :, :hi - lo])
+
+    if threads <= 1:
+        return work(0)
+    with ThreadPoolExecutor(threads) as pool:
+        for job in [pool.submit(work, j) for j in range(threads)]:
+            job.result()
+
+
 class SystemBuilder:
     """Caches the energy-independent geometry so that assembling systems at
     many energies (a sweep, a minimum search) costs only the Bessel
-    evaluations, the filter product, and the dense linear algebra."""
+    evaluations, the filter product, and the dense linear algebra.
+
+    The tables (``_dist`` = |x_m - y_n|, and (x_m - y_n) . v_m over it for
+    v the normal, the tangent and x) and the traces fill in place, each
+    worker its own rows (``_row_blocks``); a node within 1e-12 of a charge
+    raises ``SingularKernelError`` before any 1/d is formed."""
 
     def __init__(self, curve, M, N, tau):
         if M % 4:
@@ -365,20 +397,30 @@ class SystemBuilder:
         self.charges = charge_points(curve, N, tau)
         # parities of the classes; with N <= 2 every charge is its own mirror
         self.classes = (1, -1) if curve.symmetric and N > 2 else (0,)
-        dx = self.grid.x[:, :1] - self.charges.y[:, 0]
-        dy = self.grid.x[:, 1:] - self.charges.y[:, 1]
-        self._dist = np.sqrt(dx * dx + dy * dy)
-        if self._dist.min() < 1e-12:
-            raise SingularKernelError("a node and a charge nearly coincide")
-        inv = 1.0 / self._dist
+        shape = (len(self.grid.x), self.charges.N)
+        self._dist, self._proj_nor, self._proj_tan, self._proj_dil = tables = [
+            np.empty(shape) for _ in range(4)]
 
-        def proj(v):
-            # (x_m - y_n) . v_m / |x_m - y_n|
-            return (dx * v[:, :1] + dy * v[:, 1:]) * inv
+        def fill(lo, hi, buffers):
+            dx, dy, inv, tmp = buffers
+            x = self.grid.x[lo:hi]
+            np.subtract(x[:, :1], self.charges.y[:, 0], out=dx)
+            np.subtract(x[:, 1:], self.charges.y[:, 1], out=dy)
+            d = self._dist[lo:hi]
+            np.add(np.square(dx, out=d), np.square(dy, out=tmp), out=d)
+            np.sqrt(d, out=d)
+            if d.min() < 1e-12:
+                raise SingularKernelError("a node and a charge nearly coincide")
+            np.divide(1.0, d, out=inv)
+            for proj, v in zip(tables[1:], (self.grid.nrm, self.grid.tng,
+                                            self.grid.x)):
+                # (x_m - y_n) . v_m / |x_m - y_n|
+                p, v = proj[lo:hi], v[lo:hi]
+                np.add(np.multiply(dx, v[:, :1], out=p),
+                       np.multiply(dy, v[:, 1:], out=tmp), out=p)
+                np.multiply(p, inv, out=p)
 
-        self._proj_nor = proj(self.grid.nrm)
-        self._proj_tan = proj(self.grid.tng)
-        self._proj_dil = proj(self.grid.x)
+        _row_blocks(*shape, 4, fill)
         self._sw = np.sqrt(self.grid.w)[:, None]
 
     def traces(self, E):
@@ -390,12 +432,22 @@ class SystemBuilder:
         if not E > 0:
             raise DomainError("E must be positive")
         k = np.sqrt(E)
-        kd = k * self._dist
-        sw_y1 = self._sw * (-k * bessel_y1(kd))
-        A_val = self._sw * bessel_y0(kd)
-        A_nor = sw_y1 * self._proj_nor
-        A_tan = sw_y1 * self._proj_tan
-        A_dil = sw_y1 * self._proj_dil
+        A_val, A_nor, A_tan, A_dil = [np.empty(self._dist.shape)
+                                      for _ in range(4)]
+
+        def fill(lo, hi, buffers):
+            kd, sw = buffers[0], self._sw[lo:hi]
+            np.multiply(k, self._dist[lo:hi], out=kd)
+            # special's names: a tracer may wrap this module's for one thread
+            val = special.bessel_y0(kd, out=A_val[lo:hi])
+            np.multiply(sw, val, out=val)
+            sw_y1 = special.bessel_y1(kd, out=A_dil[lo:hi])
+            np.multiply(sw, np.multiply(-k, sw_y1, out=sw_y1), out=sw_y1)
+            np.multiply(sw_y1, self._proj_nor[lo:hi], out=A_nor[lo:hi])
+            np.multiply(sw_y1, self._proj_tan[lo:hi], out=A_tan[lo:hi])
+            np.multiply(sw_y1, self._proj_dil[lo:hi], out=sw_y1)
+
+        _row_blocks(*self._dist.shape, 1, fill)
         return A_val, A_nor, A_tan, A_dil
 
     def system(self, E):

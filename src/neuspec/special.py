@@ -7,15 +7,15 @@ ch. 5); the tests check them against series, identities and mpmath.  The
 ranges are capped at what the solver and the disc data need; out-of-range
 arguments raise instead of degrading.
 
-Y0 and Y1 are the kernels of every assembly.  Only the ``mode`` raster's
-near field, its Y0 at the points near a charge, runs on several threads:
-:func:`kernel_threads` of them, in the workers of
-``assembly.point_source_sum``, which ``assembly.raster_sum`` calls once per
-raster (on half of it for a curve symmetric under y -> -y); scipy's loops
+Y0 and Y1 are the kernels of every assembly.  :func:`kernel_threads`
+workers run them on row blocks of an evaluation's traces
+(``assembly.SystemBuilder.traces``) and on the ``mode`` raster's near field
+(``assembly.point_source_sum``, once per ``assembly.raster_sum``), each
+writing its own rows of a shared array through ``out=``; scipy's loops
 release the interpreter lock and take each element on its own, so the
 values are bit-equal for any count.  The raster's far field takes one Y0
 and one Y1 per far tile and charge, at the tile centres, on the calling
-thread, like the traces.
+thread.
 """
 
 import os
@@ -42,11 +42,11 @@ def _cores():
 
 
 def kernel_threads():
-    """Threads the ``mode`` raster's near-field Y0 evaluations use (the
-    far field's stay on the calling thread): the first of
-    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS that holds a positive integer,
-    else the number of cores this process may run on, capped at that
-    number."""
+    """Threads of the element-wise kernels (``SystemBuilder``'s tables and
+    traces, the ``mode`` raster's near field), which no output depends on:
+    the first of OPENBLAS_NUM_THREADS and OMP_NUM_THREADS that holds a
+    positive integer, else the number of cores this process may run on,
+    capped at that number."""
     cores = _cores()
     for var in _THREAD_VARS:
         try:
@@ -72,9 +72,10 @@ def bessel_y0(x, out=None):
     return _sp.y0(_check_positive(x, "bessel_y0"), out=out)
 
 
-def bessel_y1(x):
-    """Y1(x) for finite x > 0; scalar or array."""
-    return _sp.y1(_check_positive(x, "bessel_y1"))
+def bessel_y1(x, out=None):
+    """Y1(x) for finite x > 0; scalar or array, written to ``out`` if
+    given."""
+    return _sp.y1(_check_positive(x, "bessel_y1"), out=out)
 
 
 def _check_order(n):

@@ -1,5 +1,6 @@
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from neuspec import (ChargeSet, InteriorGrid, RadialCurve, SystemBuilder,
                      jnprime_zero, point_source_sum, raster_sum, sqrt_factor)
 from neuspec.errors import (DegenerateNormError, DomainError,
                             InvalidCurveError, SingularKernelError)
-from neuspec.special import bessel_y0
+from neuspec.special import bessel_y0, bessel_y1
 
 
 @pytest.fixture
@@ -86,22 +87,66 @@ class TestBasisMatrices:
         for n in (1, 5):
             assert np.abs(np.roll(A[:, 0], shift * n) - A[:, n]).max() < 1e-13
 
-    def test_traces_start_no_thread(self, disc, monkeypatch, started):
-        """Threaded BLAS runs between an evaluation's kernel calls, so its
-        Y0/Y1 arrays (here 2^15 values each) take one thread, whatever
-        the raster's thread count."""
-        monkeypatch.setattr(neuspec.assembly, "kernel_threads", lambda: 4)
-        b = SystemBuilder(disc, 256, 128, 0.1)
-        assert b._dist.size == 1 << 15
-        b.system(400.0)
-        assert started == []
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("row_block", [1 << 14, 100],
+                             ids=["partial-last-block", "one-row-blocks"])
+    def test_tables_and_traces_bit_equal_for_any_thread_count(
+            self, wobbly, monkeypatch, started, row_block, threads):
+        """The row blocks give the one-thread bits for any thread count and
+        block size: at M=700, N=350 a block holds 46 rows and the last one
+        10, and blocks of 100 values hold one row each.  One thread fills
+        the blocks inline and starts none."""
+        E = 40.53 ** 2
+
+        def tables_and_traces():
+            b = SystemBuilder(wobbly, 700, 350, 0.025)
+            return [b._dist, b._proj_nor, b._proj_tan, b._proj_dil,
+                    *b.traces(E)]
+
+        monkeypatch.setattr(neuspec.assembly, "kernel_threads", lambda: 1)
+        expected = tables_and_traces()
+        monkeypatch.setattr(neuspec.assembly, "ROW_BLOCK", row_block)
+        monkeypatch.setattr(neuspec.assembly, "kernel_threads",
+                            lambda: threads)
+        for got, want in zip(tables_and_traces(), expected, strict=True):
+            assert np.array_equal(got, want)
+        if threads == 1:
+            assert started == []
+        else:
+            # one pool for the tables, one for the traces
+            assert 2 <= len(started) <= 2 * threads
+            assert not any(t.is_alive() for t in started)
+
+    def test_traces_are_the_whole_array_expressions(self, wobbly):
+        """Block by block, every element goes through the operations of the
+        whole-array expressions, in their order."""
+        b = SystemBuilder(wobbly, 700, 350, 0.025)
+        E = 40.53 ** 2
+        k = np.sqrt(E)
+        kd = k * b._dist
+        sw_y1 = b._sw * (-k * bessel_y1(kd))
+        expected = (b._sw * bessel_y0(kd), sw_y1 * b._proj_nor,
+                    sw_y1 * b._proj_tan, sw_y1 * b._proj_dil)
+        for got, want in zip(b.traces(E), expected, strict=True):
+            assert np.array_equal(got, want)
 
     def test_coincident_charge_rejected(self, disc, monkeypatch):
-        node = build_grid(disc, 16).x[:1].copy()
+        """Raised from the block that holds the node, on any thread count,
+        before any 1/d is formed: no RuntimeWarning."""
+        node = build_grid(disc, 16).x[9:10].copy()
         monkeypatch.setattr(neuspec.assembly, "charge_points",
                             lambda curve, N, tau: ChargeSet(N=1, y=node))
-        with pytest.raises(SingularKernelError):
-            SystemBuilder(disc, 16, 1, 0.1)
+        # blocks of four rows: the node's is the third of four
+        monkeypatch.setattr(neuspec.assembly, "ROW_BLOCK", 4)
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(neuspec.assembly, "kernel_threads",
+                                lambda: threads)
+            before = threading.active_count()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularKernelError):
+                    SystemBuilder(disc, 16, 1, 0.1)
+            assert threading.active_count() == before
 
 
 class TestInteriorNormMatrix:
@@ -512,6 +557,27 @@ class TestRasterSum:
 
 
 class TestSetupGeometry:
+    def test_memory_is_outputs_and_block_buffers(self, wobbly, monkeypatch):
+        """The constructor allocates its four M x N tables and four block
+        buffers per worker, ``traces`` its four outputs and one buffer per
+        worker, each buffer at most ROW_BLOCK values; 512 kB, a quarter of
+        one table, covers the rest (about 250 kB, most of it the grid's)."""
+        monkeypatch.setattr(neuspec.assembly, "kernel_threads", lambda: 2)
+        table = 700 * 350 * 8
+        buffer = neuspec.assembly.ROW_BLOCK * 8
+        tracemalloc.start()
+        try:
+            b = SystemBuilder(wobbly, 700, 350, 0.025)
+            built = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            b.traces(40.53 ** 2)
+            traced = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert built <= 4 * table + 2 * 4 * buffer + (512 << 10)
+        assert traced <= 4 * table + 2 * buffer + (512 << 10)
+
     def test_distances_and_projections_match_einsum(self, wobbly):
         """The M x N tables from two coordinate differences equal the
         einsum over the M x N x 2 difference array bit for bit."""

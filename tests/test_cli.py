@@ -475,6 +475,24 @@ class TestParser:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("given", [None, "25"], ids=["unset", "set"])
+    def test_import_sets_blas_thread_timeout(self, given):
+        """``import neuspec`` lets OpenBLAS's idle threads sleep soon after
+        each call unless the user chose otherwise, and loads no numpy, so
+        the value is in place when OpenBLAS reads it."""
+        src = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+        if given is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = given
+        code = ("import os, sys, neuspec; "
+                "print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'), "
+                "'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [given or "22", "False"]
+
     def test_every_export_resolves(self):
         # a stale name in the lazy export table fails here, not at first use
         import neuspec

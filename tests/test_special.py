@@ -91,6 +91,28 @@ class TestY0Y1:
         assert isinstance(y, float) and np.ndim(y) == 0
         assert np.array_equal(y, sp.y0(2.5))
 
+    def test_y1_out_bit_equal_to_scipy(self):
+        """``out`` is written in place with scipy's bits, a row block of a
+        larger array included, and the domain check still runs."""
+        rng = np.random.default_rng(7)
+        kd = rng.uniform(1e-3, 200.0, (300, 400))
+        for x in (rng.uniform(1e-3, 200.0, 1 << 15), kd, kd[:, ::3]):
+            out = np.empty(x.shape)
+            assert bessel_y1(x, out=out) is out
+            assert np.array_equal(out, sp.y1(x))
+            buf = x.copy()
+            assert bessel_y1(buf, out=buf) is buf
+            assert np.array_equal(buf, sp.y1(x))
+        table = np.zeros(kd.shape)
+        bessel_y1(kd[46:92], out=table[46:92])
+        assert np.array_equal(table[46:92], sp.y1(kd[46:92]))
+        assert not table[:46].any() and not table[92:].any()
+        for bad in (np.nan, np.inf, 0.0, -1.0):
+            x = np.full(4, 2.0)
+            x[2] = bad
+            with pytest.raises(DomainError):
+                bessel_y1(x, out=np.empty(4))
+
 
 class TestThreadSplit:
     """The ``mode`` raster's pipeline splits its Y0 blocks across
