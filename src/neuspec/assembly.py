@@ -15,12 +15,11 @@ odd class (``geometry``).  The split comes after assembly: the traces, A_w
 and H are formed whole, and ``sqrt_factor`` and ``min_tension`` slice each
 class's blocks from them.  Assembling on half the nodes and charges would
 change the rounding of A_w, which moves the benchmark's lobe-scan tensions
-by about its 1e-8 check.  The ``mode`` raster uses the mirror for any
-coefficients, without the classes: ``raster_sum`` evaluates one half of a
-symmetric raster and takes the other from the same sums.  It sums the
-points far from every charge through one local Bessel expansion per raster
-tile (Graf's addition theorem, the local half of a fast multipole method),
-and the rest through ``point_source_sum``.
+by about its 1e-8 check.  For coefficients in one class, ``raster_sum``
+evaluates half of a symmetric raster and mirrors the rest with the class's
+sign.  It sums the points far from every charge through one local Bessel
+expansion per raster tile (Graf's addition theorem, the local half of a
+fast multipole method), and the rest through ``point_source_sum``.
 
 The interior L2 norm of an E-Helmholtz function is evaluated on the boundary
 through the Rellich-type identity
@@ -121,9 +120,8 @@ def sqrt_factor(H, classes=(0,)):
 
 
 def point_source_sum(charges, alpha, E, points):
-    """u(p) = sum_n alpha_n Y0(sqrt(E) |p - y_n|) at interior points: shape
-    (K,) for ``alpha`` of shape (N,), or (K, c) for c coefficient columns
-    (N, c), all from the same Y0 blocks.
+    """u(p) = sum_n alpha_n Y0(sqrt(E) |p - y_n|) at interior points, for
+    ``alpha`` of shape (N,) (else ``DomainError``).
 
     A pipeline over blocks of 65536 // N rows (gemv rounding depends on the
     row count, so the blocks keep this size).  :func:`kernel_threads`
@@ -135,9 +133,10 @@ def point_source_sum(charges, alpha, E, points):
     (arrays made on the workers would grow glibc's per-thread arenas).  One
     thread fills the blocks inline and starts none.  A point on a charge
     raises the worker's ``DomainError``."""
+    alpha = checked_alpha(alpha, charges.N)
     k = np.sqrt(E)
     points = np.asarray(points, dtype=float)
-    out = np.empty((len(points), *alpha.shape[1:]))
+    out = np.empty(len(points))
     block = max(1, 65536 // max(charges.N, 1))
     starts = range(0, len(points), block)
     threads = min(kernel_threads(), len(starts))
@@ -167,19 +166,27 @@ def point_source_sum(charges, alpha, E, points):
     return out
 
 
+def checked_alpha(alpha, N):
+    """``alpha`` as floats, if of shape (N,), else ``DomainError``."""
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape != (N,):
+        raise DomainError(f"alpha has shape {alpha.shape}, not {(N,)}")
+    return alpha
+
+
 def raster_sum(builder, alpha, E, grid):
     """``point_source_sum`` of ``builder``'s charges at the points of
     ``grid``, an ``interior_grid`` of the builder's curve, in the order of
     ``grid.indices``, summed through local expansions about raster tiles.
 
     **Mirror.**  With two classes the curve and the charges are symmetric
-    under y -> -y, charge N - n mirroring charge n, so for any alpha the
-    mirror image (x, -y) of a point takes sum_n alpha_{-n mod N} Y0(k |p -
-    y_n|), k = sqrt(E): the point's own sum with ``alpha[mirror]``.  Raster
-    row iy mirrors row ny - 1 - iy, so only the rows with 2 iy >= ny - 1,
-    and each point whose twin lies outside the mask, are evaluated, against
-    the two columns [alpha, alpha[mirror]]; every other point takes its
-    twin's second column.  With one class every point is evaluated.
+    under y -> -y, charge N - n mirroring charge n.  Where alpha_{-n mod N}
+    = s alpha_n bit for bit, s = 1 (even class) or -1 (odd), as
+    ``TensionSolver.evaluate`` returns alpha, the mirror image (x, -y) of a
+    point takes s times its sum.  Raster row iy mirrors row ny - 1 - iy, so
+    then only the rows with 2 iy >= ny - 1, and each point whose twin lies
+    outside the mask, are evaluated, and every other point takes s times
+    its twin's value.  Any other alpha, or one class, evaluates every point.
 
     **Tiles.**  The evaluated points are grouped into tiles of b raster
     points a side, b the most with (b - 1) h <= TILE_SIDE / k for the
@@ -206,38 +213,34 @@ def raster_sum(builder, alpha, E, grid):
     **Sizing,** on ``mode``'s lobe raster (M=700, N=350, tau=0.025, sqrtE =
     40.53, nx=301; 28,119 evaluated points): 168 far tiles leave 1,127
     points to the near field, so 394,450 Y0 values plus 58,800 Y0 and
-    58,800 Y1 replace 9,841,650 Y0, and the sum takes about 0.07 s against
-    0.24 s (medians of 8 calls in one process, two threads).  Tile sides of
-    2/k, 3/k, 6/k and 8/k took 1.2, 1.0, 1.2 and 1.9 times as long as 4/k;
-    THETA_MAX = 0.25 took 1.4 times as long, 0.5 about as long.  The side
-    also keeps k r <= 2 sqrt 2 below j_1,1 = 3.83, the first zero of J_1,
-    where the backward sweep's ratios are finite.  TILE_TOL = 1e-12 raised
-    the error from 6.8e-15 S to 1.7e-14 S; 1e-14 left it at 6.8e-15 S.
+    58,800 Y1 replace 9,841,650 Y0, and the sum takes about 0.04 s (medians
+    of 11 calls in one process, two threads).  Tile sides of 2/k, 3/k, 6/k
+    and 8/k took 1.2, 1.0, 1.2 and 1.9 times as long as 4/k; THETA_MAX =
+    0.25 took 1.4 times as long, 0.5 about as long.  The side also keeps k r
+    <= 2 sqrt 2 below j_1,1 = 3.83, the first zero of J_1, where the
+    backward sweep's ratios are finite.  TILE_TOL = 1e-12 raised the error
+    from 6.8e-15 S to 1.7e-14 S; 1e-14 left it at 6.8e-15 S.
 
     **Error.**  The result is not the whole-raster ``point_source_sum`` bit
-    for bit.  Against a direct Y0-matrix sum it erred by at most 7.0e-15 S
+    for bit.  Against a direct Y0-matrix sum it erred by at most 7.4e-15 S
     in every case measured, S = max_p sum_n |alpha_n Y0(k |p - y_n|)| the
-    sum's cancellation scale, the order of the mirror's own 3e-15 to 7e-15
-    S; the tests hold it to 1e-14 S.  That is 7.0e-15 S on the lobe raster
-    above, and 2.0e-15 S on the disc at M=192, N=96, tau=0.1, sqrtE=15,
-    nx=61, where |alpha| = 4.7e5 cancels and it reads 6.8e-10 max|u|.
+    sum's cancellation scale (4.7e-15 S on the lobe raster above); the
+    tests hold it to 1e-14 S.  On the disc at M=192, N=96, tau=0.1,
+    sqrtE=15, nx=61, |alpha| = 4.7e5 cancels: 2.0e-15 S is 6.8e-10 max|u|.
     """
     charges = builder.charges
+    alpha = checked_alpha(alpha, charges.N)
     ix, iy = grid.indices.T
-    if builder.classes == (0,):
-        return _tiled_sum(charges, alpha, E, grid, np.ones(len(ix), bool))
     twin = len(grid.ys) - 1 - iy
-    direct = (iy >= twin) | ~grid.inside[twin, ix]
-    # where each directly evaluated point sits among them, by raster cell
-    row = np.zeros(grid.inside.shape, dtype=np.intp)
-    row[iy[direct], ix[direct]] = np.arange(np.count_nonzero(direct))
-    mirror = -np.arange(charges.N) % charges.N
-    pair = _tiled_sum(charges, np.stack([alpha, alpha[mirror]], axis=1), E,
-                      grid, direct)
-    u = np.empty(len(ix))
-    u[direct] = pair[:, 0]
-    u[~direct] = pair[row[twin[~direct], ix[~direct]], 1]
-    return u
+    mirrored = alpha[-np.arange(charges.N) % charges.N]
+    # the class's sign, or 0: every point evaluated
+    sign = next((s for s in (1.0, -1.0) if builder.classes != (0,)
+                 and np.array_equal(mirrored, s * alpha)), 0.0)
+    direct = (iy >= twin) | ~grid.inside[twin, ix] | (sign == 0.0)
+    u = np.empty(grid.inside.shape)
+    u[iy[direct], ix[direct]] = _tiled_sum(charges, alpha, E, grid, direct)
+    u[iy[~direct], ix[~direct]] = sign * u[twin[~direct], ix[~direct]]
+    return u[iy, ix]
 
 
 def _tiled_sum(charges, alpha, E, grid, mask):
@@ -272,23 +275,21 @@ def _tiled_sum(charges, alpha, E, grid, mask):
     rank = np.full(len(count), -1)
     rank[full] = np.arange(len(full))
     owner = rank[tile]
-    out = np.empty((len(points), *alpha.shape[1:]))
+    out = np.empty(len(points))
     near = owner < 0
     if near.any():
         out[near] = point_source_sum(charges, alpha, E, points[near])
     at = np.flatnonzero(~near)
     at = at[np.argsort(owner[at], kind="stable")]
     owner = owner[at]
-    columns = alpha.reshape(charges.N, -1)
     for lo in range(0, len(full), batch):
         hi = lo + batch
         C = _local_coefficients(k, *_offsets(charges, centre[lo:hi]),
-                                L[lo:hi], columns)
+                                L[lo:hi], alpha)
         a, b = np.searchsorted(owner, [lo, hi])
         p = at[a:b]
         out[p] = _local_values(k * (points[p] - centre[owner[a:b]]),
-                               owner[a:b] - lo, L[lo:hi],
-                               C).reshape(-1, *alpha.shape[1:])
+                               owner[a:b] - lo, L[lo:hi], C)
     return out
 
 
@@ -300,13 +301,13 @@ def _offsets(charges, centres):
 
 
 def _local_coefficients(k, dx, dy, rho, L, alpha):
-    """C[l, t, j] = eps_l sum_n alpha[n, j] Y_l(k rho[t, n]) e^{-i l phi[t, n]}
+    """C[l, t] = eps_l sum_n alpha[n] Y_l(k rho[t, n]) e^{-i l phi[t, n]}
     for l <= L[t] (zero above), where (dx, dy) = rho e^{i phi} are the
     charges seen from the centre of tile t; L descending."""
     kr = k * rho
     turn = (dx - 1j * dy) / rho
     wave = turn.copy()
-    C = np.zeros((L[0] + 1, len(L), alpha.shape[1]), dtype=complex)
+    C = np.zeros((L[0] + 1, len(L)), dtype=complex)
     y_prev, y = bessel_y0(kr), bessel_y1(kr)
     C[0] = y_prev @ alpha
     C[1] = 2.0 * ((y * wave) @ alpha)
@@ -340,18 +341,17 @@ def _local_values(kp, owner, L, C):
         turn = np.where(z > 0, (kp[:, 0] + 1j * kp[:, 1]) / z, 1.0)
     # the points of the tiles still expanding at order l are a prefix
     ends = np.searchsorted(owner, np.arange(len(L)), side="right")
-    s_u = np.zeros((len(z), C.shape[2]), dtype=complex)
+    s_u = np.zeros(len(z), dtype=complex)
     s_n = np.zeros(len(z))
     ratio = np.zeros(len(z))
     for l in range(L[0], 1, -1):
         m = ends[np.count_nonzero(L >= l) - 1]
         r = ratio[:m] = z[:m] / (2 * l - z[:m] * ratio[:m])
-        s_u[:m] = (r * turn[:m])[:, None] * (C[l, owner[:m]] + s_u[:m])
+        s_u[:m] = r * turn[:m] * (C[l, owner[:m]] + s_u[:m])
         s_n[:m] = r * (s_n[:m] + 2.0) if l % 2 == 0 else r * s_n[:m]
     d = 2.0 - z * ratio
-    return ((d[:, None] * C[0, owner].real
-             + z[:, None] * (turn[:, None] * (C[1, owner] + s_u)).real)
-            / (d + z * s_n)[:, None])
+    return ((d * C[0, owner].real + z * (turn * (C[1, owner] + s_u)).real)
+            / (d + z * s_n))
 
 
 def _row_blocks(rows, cols, scratch, fill):

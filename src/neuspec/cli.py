@@ -6,11 +6,12 @@ Subcommands: ``sweep`` (tension samples over a frequency window, CSV),
 exact unit-disc identity suite, CSV report).
 
 Exit codes: 0 success, 1 validation failure (disc-check), 2 usage error,
-3 numerical failure.  ``main`` maps every library error to one of the last
-two by one rule: a ``NeuspecError`` that is also a ``ValueError`` (bad input)
-exits 2, any other (the computation degenerated) exits 3; both print one
-line ``<command>: <message>``.  All numeric output carries 17 significant
-digits so a reparse reproduces the binary values exactly.
+3 numerical failure.  ``main`` maps every error to one of the last two by
+one rule: bad input, a ``NeuspecError`` that is also a ``ValueError`` or an
+``OSError`` on a path, exits 2, any other ``NeuspecError`` (the computation
+degenerated) exits 3; both print one line ``<command>: <message>``.  All
+numeric output carries 17 significant digits so a reparse reproduces the
+binary values exactly.
 
 Heavy imports are deferred until after ``--threads`` has been applied to the
 BLAS environment variables, so thread pinning works when the CLI owns the
@@ -22,7 +23,8 @@ import os
 import sys
 import time
 
-from .errors import InvalidCurveError, NeuspecError
+from .errors import (DomainError, InvalidCurveError, NeuspecError,
+                     NumericalError)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -35,8 +37,8 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-class UsageError(Exception):
-    pass
+class UsageError(DomainError):
+    """Bad flags or config: an input error, so ``main`` exits 2."""
 
 
 def parse_curve(spec):
@@ -240,8 +242,7 @@ def cmd_sweep(args):
         print(f"sweep: evaluation failed at sqrtE={_fmt(s.sqrtE)}: {s.error}",
               file=sys.stderr)
     if len(bad) == len(samples):
-        print("sweep: every sample failed", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise NumericalError("every sample failed")
     lines = ["sqrtE,tension_min,rank_eps,c_min,rank_H"]
     for s in samples:
         if s.ok:
@@ -380,12 +381,10 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    except (UsageError, OSError) as exc:
+    except (OSError, NeuspecError) as exc:
         print(f"{argv[0]}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NeuspecError as exc:
-        print(f"{argv[0]}: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_NUMERICAL
+        bad_input = isinstance(exc, (OSError, ValueError))
+        return EXIT_USAGE if bad_input else EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -66,6 +66,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrcon
 
+from .assembly import checked_alpha
 from .errors import DomainError, NoInteriorMassError, RankCollapseError
 from .geometry import mirror_fold, mirror_unfold
 
@@ -175,7 +176,7 @@ def _rotated_min(A_w, V, D):
 def classical_tension(alpha, A, B):
     """The ratio ||A alpha|| / ||B alpha|| for a given coefficient vector:
     with A = A_nor the unweighted (classical) boundary tension."""
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = checked_alpha(alpha, A.shape[1])
     bnorm = np.linalg.norm(B @ alpha)
     if bnorm == 0.0:
         raise NoInteriorMassError("coefficient vector has zero interior norm")

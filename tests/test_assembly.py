@@ -380,6 +380,13 @@ class TestPointSourceSum:
         on_main = raised_on[0] is threading.main_thread()
         assert on_main == (threads == 1)
 
+    @pytest.mark.parametrize("shape", [(5,), (40,), (32, 2)],
+                             ids=["short", "long", "columns"])
+    def test_alpha_of_wrong_shape_rejected(self, disc, shape):
+        cs = charge_points(disc, 32, 0.1)
+        with pytest.raises(DomainError, match="alpha has shape"):
+            point_source_sum(cs, np.ones(shape), 16.0, np.zeros((3, 2)))
+
     def test_memory_set_by_ring_not_raster(self, disc, rng, monkeypatch):
         """Ten times the points, the same peak: the ring of Y0 blocks, not
         the raster, sets the memory."""
@@ -399,9 +406,17 @@ class TestPointSourceSum:
 
 
 class TestRasterSum:
-    """``raster_sum`` evaluates half of a symmetric raster and mirrors the
-    rest, and sums far tiles through local expansions; both hold for any
-    coefficients, so it agrees with the whole-raster sum to rounding."""
+    """``raster_sum`` evaluates half of a symmetric raster for coefficients
+    in one reflection class and mirrors the rest, and sums far tiles
+    through local expansions; it agrees with the whole-raster sum to
+    rounding for any coefficients."""
+
+    @staticmethod
+    def one_class(rng, N, parity=1):
+        """Random coefficients of one class, (a + parity a[-n mod N]) / 2:
+        a[-n mod N] = parity a bit for bit."""
+        a = rng.standard_normal(N)
+        return (a + parity * a[-np.arange(N) % N]) / 2
 
     def whole(self, builder, alpha, E, grid):
         return point_source_sum(builder.charges, alpha, E, grid.points)
@@ -434,6 +449,19 @@ class TestRasterSum:
         monkeypatch.setattr(neuspec.assembly, "point_source_sum", recording)
         return calls
 
+    @pytest.fixture
+    def evaluated_points(self, monkeypatch):
+        """The number of points each ``_tiled_sum`` call evaluates."""
+        calls = []
+        real = neuspec.assembly._tiled_sum
+
+        def recording(charges, alpha, E, grid, mask):
+            calls.append(np.count_nonzero(mask))
+            return real(charges, alpha, E, grid, mask)
+
+        monkeypatch.setattr(neuspec.assembly, "_tiled_sum", recording)
+        return calls
+
     @pytest.mark.parametrize("nx", [60, 61])
     @pytest.mark.parametrize("coefficients", ["evaluated", "random"])
     @pytest.mark.parametrize("domain", ["disc", "lobe"])
@@ -459,7 +487,8 @@ class TestRasterSum:
         """Where local expansions take much of the raster, the sum stays
         within 1e-14 S of the direct one.  On the disc at tau=0.1 the
         evaluated |alpha| is 4.7e5: the error there reads 5e-10 max|u|, but
-        1.6e-15 S."""
+        1.6e-15 S.  The random coefficients are of the even class, so the
+        mirror takes half the raster as for evaluated ones."""
         curve, M, N, tau, sqrtE = {
             "lobe-0.025": (wobbly, 256, 128, 0.025, 20.3),
             "lobe-0.01": (wobbly, 256, 128, 0.01, 20.3),
@@ -469,7 +498,7 @@ class TestRasterSum:
         solver = TensionSolver(curve, M, N, tau)
         E = sqrtE ** 2
         alpha = (solver.evaluate(E).alpha if coefficients == "evaluated"
-                 else rng.standard_normal(N))
+                 else self.one_class(rng, N))
         grid = interior_grid(curve, nx)
         u = raster_sum(solver.builder, alpha, E, grid)
         assert sum(near_points) < 0.4 * len(grid.points)
@@ -479,12 +508,16 @@ class TestRasterSum:
         (RadialCurve.trig([1.0, 0.1, 0.05], [0.08]), 32),
         (RadialCurve.circle(), 2), (RadialCurve.circle(), 1)],
         ids=["trig", "disc-N2", "disc-N1"])
-    def test_one_class_is_the_whole_sum(self, rng, curve, N):
+    def test_one_class_is_the_whole_sum(self, rng, evaluated_points, curve,
+                                        N):
+        """One class evaluates every point, even for coefficients that
+        would be of the even class on a symmetric curve."""
         builder = SystemBuilder(curve, 64, N, 0.1)
         assert builder.classes == (0,)
-        alpha = rng.standard_normal(N)
+        alpha = self.one_class(rng, N)
         grid = interior_grid(curve, 41)
         u = raster_sum(builder, alpha, 16.0, grid)
+        assert evaluated_points == [len(grid.points)]
         self.assert_close(u, self.whole(builder, alpha, 16.0, grid))
         self.assert_within_rounding(u, builder, alpha, 16.0, grid)
 
@@ -502,7 +535,8 @@ class TestRasterSum:
     @pytest.mark.parametrize("dropped", ["evaluated-half", "mirrored-half"])
     def test_twin_outside_mask_is_evaluated(self, disc, rng, dropped):
         """With one point dropped from the mask, in either half, its twin
-        still gets its own value."""
+        still gets its own value (odd coefficients: a mirrored value would
+        have the wrong sign too)."""
         full = interior_grid(disc, 41)
         inside = full.inside.copy()
         iy = 30 if dropped == "evaluated-half" else 10   # 2 iy >= 40, or not
@@ -510,15 +544,57 @@ class TestRasterSum:
         assert inside[40 - iy, 20]
         grid = InteriorGrid(xs=full.xs, ys=full.ys, inside=inside)
         builder = SystemBuilder(disc, 64, 32, 0.1)
-        alpha = rng.standard_normal(32)
+        alpha = self.one_class(rng, 32, -1)
         self.assert_close(raster_sum(builder, alpha, 16.0, grid),
                           self.whole(builder, alpha, 16.0, grid))
+
+    @pytest.mark.parametrize("parity", [1, -1], ids=["even", "odd"])
+    def test_class_mirrors_bit_for_bit(self, wobbly, rng, evaluated_points,
+                                       parity):
+        """Coefficients of one class take half the raster; every other
+        point is its twin's value times the class's sign, bit for bit, and
+        the sum stays within 1e-14 S of the direct one."""
+        builder = SystemBuilder(wobbly, 256, 128, 0.025)
+        alpha, E = self.one_class(rng, 128, parity), 20.3 ** 2
+        grid = interior_grid(wobbly, 101)
+        u = raster_sum(builder, alpha, E, grid)
+        ix, iy = grid.indices.T
+        twin = 100 - iy
+        assert evaluated_points == [np.count_nonzero(
+            (iy >= twin) | ~grid.inside[twin, ix])]
+        assert evaluated_points[0] < 0.51 * len(u)
+        raster = np.full(grid.inside.shape, np.nan)
+        raster[iy, ix] = u
+        # the middle row is its own twin, and odd there only to rounding
+        paired = grid.inside[twin, ix] & (iy != twin)
+        assert np.array_equal(u[paired], parity * raster[twin, ix][paired])
+        self.assert_within_rounding(u, builder, alpha, E, grid)
+
+    def test_mixed_coefficients_evaluate_every_point(self, wobbly, rng,
+                                                     evaluated_points):
+        """Coefficients in neither class, on a curve with the symmetry, take
+        every point of the raster: the mirror does not hold for them."""
+        builder = SystemBuilder(wobbly, 256, 128, 0.025)
+        assert builder.classes == (1, -1)
+        alpha, E = rng.standard_normal(128), 20.3 ** 2
+        grid = interior_grid(wobbly, 101)
+        u = raster_sum(builder, alpha, E, grid)
+        assert evaluated_points == [len(grid.points)]
+        self.assert_within_rounding(u, builder, alpha, E, grid)
+
+    @pytest.mark.parametrize("shape", [(5,), (40,), (32, 2)],
+                             ids=["short", "long", "columns"])
+    def test_alpha_of_wrong_shape_rejected(self, disc, shape):
+        builder = SystemBuilder(disc, 64, 32, 0.1)
+        with pytest.raises(DomainError, match="alpha has shape"):
+            raster_sum(builder, np.ones(shape), 16.0, interior_grid(disc, 41))
 
     def lobe_raster(self, wobbly, rng):
         # k = 30: far tiles take most of the raster; blocks of 256 points:
         # the near field spans several
         builder = SystemBuilder(wobbly, 512, 256, 0.05)
-        return builder, rng.standard_normal(256), interior_grid(wobbly, 151)
+        return (builder, self.one_class(rng, 256),
+                interior_grid(wobbly, 151))
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_bit_equal_for_any_thread_count(self, wobbly, rng, monkeypatch,
@@ -531,9 +607,10 @@ class TestRasterSum:
         assert np.array_equal(raster_sum(builder, alpha, 900.0, grid), one)
 
     def test_half_the_y0_values(self, wobbly, rng, monkeypatch):
-        """The mirror halves the Y0 values, and the far tiles leave under a
-        tenth of the direct sum's Bessel values: the near field's Y0 on the
-        workers, one Y0 and one Y1 per far tile and charge on this thread."""
+        """The mirror halves the Y0 values of even coefficients, and the
+        far tiles leave under a tenth of the direct sum's Bessel values: the
+        near field's Y0 on the workers, one Y0 and one Y1 per far tile and
+        charge on this thread."""
         builder, alpha, grid = self.lobe_raster(wobbly, rng)
         elems = {}
 

@@ -111,6 +111,54 @@ class TestSweepCommand:
         assert rc == 2
 
 
+class TestSweepFailures:
+    """A sample whose evaluation fails numerically is reported on stderr
+    and left out of the CSV; when every sample fails, ``sweep`` exits 3 and
+    writes no CSV."""
+
+    ARGS = ["sweep", "--curve", DISC, "--fmin", "3.0", "--fmax", "3.6",
+            "--steps", "4", "--M", "64", "--N", "32", "--tau", "0.1"]
+    FREQS = np.linspace(3.0, 3.6, 4)
+
+    def fail_at(self, monkeypatch, samples):
+        """Have the evaluation raise at the frequencies of ``samples``."""
+        from neuspec.errors import RankCollapseError
+        from neuspec.search import TensionSolver
+
+        energies = {f * f for f in self.FREQS[samples]}
+        real = TensionSolver.evaluate
+
+        def evaluate(solver, E):
+            if E in energies:
+                raise RankCollapseError("stack has rank zero")
+            return real(solver, E)
+
+        monkeypatch.setattr(TensionSolver, "evaluate", evaluate)
+
+    def test_failed_samples_left_out(self, tmp_path, monkeypatch, capsys):
+        whole = tmp_path / "whole.csv"
+        assert run(self.ARGS + ["--out", str(whole)]) == 0
+        self.fail_at(monkeypatch, [1, 3])
+        out = tmp_path / "sweep.csv"
+        assert run(self.ARGS + ["--out", str(out)]) == 0
+        assert capsys.readouterr().err == "".join(
+            f"sweep: evaluation failed at sqrtE={cli._fmt(f)}: stack has "
+            f"rank zero\n" for f in self.FREQS[[1, 3]])
+        lines = whole.read_text().splitlines()
+        assert out.read_text().splitlines() == [lines[0], lines[1], lines[3]]
+
+    def test_every_sample_failed_exit3(self, tmp_path, monkeypatch, capsys):
+        self.fail_at(monkeypatch, [0, 1, 2, 3])
+        out = tmp_path / "sweep.csv"
+        assert run(self.ARGS + ["--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 5
+        assert all(line.startswith("sweep: evaluation failed at sqrtE=")
+                   for line in err[:4])
+        assert err[4] == "sweep: every sample failed"
+        assert not out.exists()
+
+
 class TestSolveCommand:
     def test_disc_solve_json_roundtrip(self, tmp_path):
         out = tmp_path / "solve.json"

@@ -5,7 +5,7 @@ from scipy import linalg
 from neuspec import (RadialCurve, TensionSolver, classical_tension,
                      interior_norm_matrix, jnprime_zero, min_tension,
                      sqrt_factor)
-from neuspec.errors import NoInteriorMassError, RankCollapseError
+from neuspec.errors import DomainError, NoInteriorMassError, RankCollapseError
 
 
 def gen_eig_oracle(A, B):
@@ -102,6 +102,13 @@ class TestTensionOf:
         B = np.zeros((2, 3))
         with pytest.raises(NoInteriorMassError):
             classical_tension(np.ones(3), A, B)
+
+    @pytest.mark.parametrize("shape", [(5,), (40,), (32, 1)],
+                             ids=["short", "long", "column"])
+    def test_alpha_of_wrong_shape_rejected(self, rng, shape):
+        A, B = well_conditioned_pair(rng, m=64, n=32)
+        with pytest.raises(DomainError, match="alpha has shape"):
+            classical_tension(np.ones(shape), A, B)
 
     def test_classical_is_unweighted(self, rng):
         A, B = well_conditioned_pair(rng)
