@@ -7,8 +7,9 @@ derivative), all with rows scaled by sqrt(w_m) so that Euclidean norms
 approximate boundary L2 norms.  ``SystemBuilder.system`` reduces them to what
 the tensions read: the filtered normal derivative A_w = F A_nor, the
 unfiltered A_nor for the classical tension, and the interior-norm factor B.
-The builder's tables and the traces are filled in row blocks on
-``special.kernel_threads()`` workers, bit-equal for any thread count.
+The builder's tables, the traces and ``point_source_sum`` are filled in
+row blocks on ``special.kernel_threads()`` workers (``_row_blocks``),
+bit-equal for any thread count.
 
 On a curve symmetric under y -> -y the problem splits into an even and an
 odd class (``geometry``).  The split comes after assembly: the traces, A_w
@@ -57,7 +58,6 @@ TILE_SIDE = 4.0
 THETA_MAX = 0.35
 TILE_POINTS = 8
 TILE_TOL = 1e-16
-TILE_PAIRS = 16384
 ROW_BLOCK = 1 << 14
 
 
@@ -123,46 +123,28 @@ def point_source_sum(charges, alpha, E, points):
     """u(p) = sum_n alpha_n Y0(sqrt(E) |p - y_n|) at interior points, for
     ``alpha`` of shape (N,) (else ``DomainError``).
 
-    A pipeline over blocks of 65536 // N rows (gemv rounding depends on the
-    row count, so the blocks keep this size).  :func:`kernel_threads`
-    workers fill a ring of 2 x threads slots, allocated here once, with a
-    block's ``special.bessel_y0(k * sqrt(dx*dx + dy*dy))`` formed in place.
-    The caller takes the blocks in order, forms ``Y @ alpha`` and hands the
-    slot on, so only that gemv runs beside the core OpenBLAS spins on after
-    each call.  Memory is the ring's, 4 MB at two threads for any raster
-    (arrays made on the workers would grow glibc's per-thread arenas).  One
-    thread fills the blocks inline and starts none.  A point on a charge
-    raises the worker's ``DomainError``."""
+    Filled by :func:`_row_blocks` in blocks of 65536 // N rows (gemv
+    rounding depends on the row count, so the blocks keep this size).  Each
+    worker forms its block's ``special.bessel_y0(k * sqrt(dx*dx + dy*dy))``
+    in its own two scratch buffers and writes ``Y @ alpha`` into its rows
+    of the result, so memory is threads x 2 x 65536 values (2 MB at two
+    threads) for any number of points.  A point on a charge raises the
+    worker's ``DomainError``."""
     alpha = checked_alpha(alpha, charges.N)
     k = np.sqrt(E)
     points = np.asarray(points, dtype=float)
     out = np.empty(len(points))
-    block = max(1, 65536 // max(charges.N, 1))
-    starts = range(0, len(points), block)
-    threads = min(kernel_threads(), len(starts))
-    ring = np.empty((2 * threads, 2, block, charges.N))
 
-    def fill(i):
-        p = points[starts[i]:starts[i] + block]
-        dx, dy = ring[i % len(ring), :, :len(p)]
+    def fill(lo, hi, buffers):
+        p, (dx, dy) = points[lo:hi], buffers
         np.subtract(p[:, :1], charges.y[:, 0], out=dx)
         np.subtract(p[:, 1:], charges.y[:, 1], out=dy)
         np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
         np.multiply(np.sqrt(dx, out=dx), k, out=dx)
         # not this module's bessel_y0: a tracer may wrap it for one thread
-        return special.bessel_y0(dx, out=dx)
+        np.matmul(special.bessel_y0(dx, out=dx), alpha, out=out[lo:hi])
 
-    if threads <= 1:
-        for i, lo in enumerate(starts):
-            out[lo:lo + block] = fill(i) @ alpha
-        return out
-    with ThreadPoolExecutor(threads) as pool:
-        jobs = [pool.submit(fill, i)
-                for i in range(min(len(ring), len(starts)))]
-        for i, lo in enumerate(starts):
-            out[lo:lo + block] = jobs[i].result() @ alpha
-            if i + len(ring) < len(starts):
-                jobs.append(pool.submit(fill, i + len(ring)))
+    _row_blocks(len(points), charges.N, 65536, 2, fill)
     return out
 
 
@@ -206,8 +188,8 @@ def raster_sum(builder, alpha, E, grid):
     backward recurrence normalized by J_0 + 2 sum J_2l = 1, in one sweep
     per point.  Every other tile goes through :func:`point_source_sum`, the
     exact near-field kernel, with its points in raster order, so a raster
-    with no far tile takes exactly that call.  The far tiles go TILE_PAIRS //
-    N at a time, so that no array outgrows ``point_source_sum``'s ring and
+    with no far tile takes exactly that call.  The far tiles go ROW_BLOCK //
+    N at a time, so that no array outgrows the tables' row blocks and
     none holds points x L or tiles x N x L values.
 
     **Sizing,** on ``mode``'s lobe raster (M=700, N=350, tau=0.025, sqrtE =
@@ -259,8 +241,8 @@ def _tiled_sum(charges, alpha, E, grid, mask):
         np.stack([full % across, full // across], axis=1) * side
         + 0.5 * (side - 1)))
     radius = 0.5 * np.hypot(*((side - 1) * step))
-    # a few tiles at a time, so that no array outgrows the near field's ring
-    batch = max(1, TILE_PAIRS // charges.N)
+    # a few tiles at a time, so that no array outgrows a row block
+    batch = max(1, ROW_BLOCK // charges.N)
     rho = np.empty(len(full))
     for lo in range(0, len(full), batch):
         rho[lo:lo + batch] = np.min(
@@ -354,16 +336,19 @@ def _local_values(kp, owner, L, C):
             / (d + z * s_n))
 
 
-def _row_blocks(rows, cols, scratch, fill):
-    """``fill(lo, hi, buffers)`` for the blocks of ROW_BLOCK // cols rows
+def _row_blocks(rows, cols, values, scratch, fill):
+    """``fill(lo, hi, buffers)`` for the blocks of ``values`` // cols rows
     (one at least) of a rows x cols table.  Worker j of
     :func:`kernel_threads` takes blocks j, j + threads, ... with its own
     ``scratch`` buffers of shape (hi - lo, cols), allocated here (arrays
     made on the workers would grow glibc's per-thread arenas).  One thread
-    fills the blocks inline and starts none.  Errors reach the caller."""
-    block = max(1, ROW_BLOCK // max(cols, 1))
+    fills the blocks inline; neither it nor a table of no rows starts a
+    thread.  Errors reach the caller."""
+    block = max(1, values // max(cols, 1))
     starts = range(0, rows, block)
     threads = min(kernel_threads(), len(starts))
+    if not threads:
+        return
     buffers = np.empty((threads, scratch, block, cols))
 
     def work(j):
@@ -371,7 +356,7 @@ def _row_blocks(rows, cols, scratch, fill):
             hi = min(lo + block, rows)
             fill(lo, hi, buffers[j, :, :hi - lo])
 
-    if threads <= 1:
+    if threads == 1:
         return work(0)
     with ThreadPoolExecutor(threads) as pool:
         for job in [pool.submit(work, j) for j in range(threads)]:
@@ -420,7 +405,7 @@ class SystemBuilder:
                        np.multiply(dy, v[:, 1:], out=tmp), out=p)
                 np.multiply(p, inv, out=p)
 
-        _row_blocks(*shape, 4, fill)
+        _row_blocks(*shape, ROW_BLOCK, 4, fill)
         self._sw = np.sqrt(self.grid.w)[:, None]
 
     def traces(self, E):
@@ -447,7 +432,7 @@ class SystemBuilder:
             np.multiply(sw_y1, self._proj_tan[lo:hi], out=A_tan[lo:hi])
             np.multiply(sw_y1, self._proj_dil[lo:hi], out=sw_y1)
 
-        _row_blocks(*self._dist.shape, 1, fill)
+        _row_blocks(*self._dist.shape, ROW_BLOCK, 1, fill)
         return A_val, A_nor, A_tan, A_dil
 
     def system(self, E):

@@ -311,9 +311,12 @@ def parabolic_min(fn, e_lo, e_hi, tol=TOL_DEFAULT, budget=60, e_mid=None):
 
 
 def inclusion_bounds(E, t_min, t_clas, c_est=C_EST_DEFAULT):
-    """Certified distances to the Neumann spectrum, new and classical."""
+    """Certified distances to the Neumann spectrum, new and classical;
+    ``c_est`` must be finite and positive."""
     if t_min < 0 or t_clas < 0:
         raise DomainError("tensions must be nonnegative")
+    if not 0 < c_est < np.inf:
+        raise DomainError("c_est must be finite and positive")
     return c_est * t_min, C_ENNENBACH * E * t_clas
 
 
@@ -334,7 +337,8 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
     presolve (module docstring) on a grid of ``coarse`` equispaced
     frequencies; ``coarse=0`` skips it, and the bracket should then contain
     exactly one local minimum (use a sweep to isolate one); 1, 2 and
-    negative values raise ``DomainError``.  Presolve samples that fail
+    negative values raise ``DomainError``, as does a ``c_est`` that is not
+    finite and positive, before any evaluation.  Presolve samples that fail
     numerically are skipped and listed in ``presolve_failures``, input
     errors (each a ``ValueError``) propagate, and all failing raises
     ``NumericalError``.  If the evaluation budget runs out, or the minimum
@@ -346,6 +350,8 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
         raise DomainError("bracket must satisfy 0 < lo < hi")
     if not (coarse == 0 or coarse >= 3):
         raise DomainError("coarse must be 0 (no presolve) or at least 3")
+    if not 0 < c_est < np.inf:
+        raise DomainError("c_est must be finite and positive")
     evals = {}
     E_lo, E_hi = f_lo ** 2, f_hi ** 2
     failures = []

@@ -318,8 +318,8 @@ class TestPointSourceSum:
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_bit_equal_for_any_thread_count(self, disc, rng, monkeypatch,
                                             started, threads):
-        """The pipeline's blocks give the same bits on any thread count; one
-        thread fills them inline and starts none."""
+        """The row blocks give the same bits on any thread count; one thread
+        fills them inline and starts none."""
         monkeypatch.setattr(neuspec.assembly, "kernel_threads",
                             lambda: threads)
         cs = charge_points(disc, 350, 0.025)
@@ -335,7 +335,7 @@ class TestPointSourceSum:
 
     def test_workers_call_no_traced_name(self, disc, rng, monkeypatch):
         """A tracer that wraps this module's Bessel names assumes one
-        thread, so the pipeline's workers must not reach those names."""
+        thread, so the row-block workers must not reach those names."""
         for name in ("bessel_y0", "bessel_y1"):
             def on_main_thread(*args, real=getattr(neuspec.assembly, name),
                                **kwargs):
@@ -387,12 +387,27 @@ class TestPointSourceSum:
         with pytest.raises(DomainError, match="alpha has shape"):
             point_source_sum(cs, np.ones(shape), 16.0, np.zeros((3, 2)))
 
-    def test_memory_set_by_ring_not_raster(self, disc, rng, monkeypatch):
-        """Ten times the points, the same peak: the ring of Y0 blocks, not
-        the raster, sets the memory."""
-        monkeypatch.setattr(neuspec.assembly, "kernel_threads", lambda: 2)
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_no_points_give_an_empty_sum_and_start_no_thread(
+            self, disc, monkeypatch, started, threads):
+        monkeypatch.setattr(neuspec.assembly, "kernel_threads",
+                            lambda: threads)
+        cs = charge_points(disc, 32, 0.1)
+        u = point_source_sum(cs, np.ones(32), 16.0, np.zeros((0, 2)))
+        assert u.shape == (0,)
+        assert started == []
+
+    def test_memory_set_by_block_buffers_not_points(self, disc, rng,
+                                                    monkeypatch):
+        """Ten times the points, the same peak, and within the workers'
+        block buffers (threads x 2 x block x N values), the output and
+        512 kB: the buffers, not the points, set the memory."""
+        threads = 2
+        monkeypatch.setattr(neuspec.assembly, "kernel_threads",
+                            lambda: threads)
         cs = charge_points(disc, 350, 0.025)
         alpha = rng.standard_normal(350)
+        buffers = threads * 2 * (65536 // 350) * 350 * 8
         peaks = []
         for n in (2000, 20000):
             pts = rng.uniform(-0.6, 0.6, (n, 2))
@@ -402,6 +417,7 @@ class TestPointSourceSum:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+            assert peaks[-1] <= buffers + 8 * n + 512 * 1024
         assert peaks[1] - peaks[0] < 1e6
 
 

@@ -219,6 +219,19 @@ class TestSolveCommand:
         assert doc["M"] == 256          # config fills everything else
         assert abs(doc["sqrtE"] - MU_30_1) < 1e-9
 
+    @pytest.mark.parametrize("cest", ["-1", "0", "nan", "inf"])
+    def test_cest_not_finite_and_positive_usage_error(self, tmp_path, capsys,
+                                                      cest):
+        # a negative constant would certify an interval of negative width,
+        # nan and inf would write JSON that does not parse
+        rc = run(["solve", "--curve", DISC, "--f0", "3.81", "--f1", "3.84",
+                  "--M", "64", "--N", "32", "--tau", "0.1", f"--cest={cest}",
+                  "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "solve: c_est must be finite and positive\n")
+        assert not (tmp_path / "x.json").exists()
+
     @pytest.mark.parametrize("coarse", ["1", "2", "-1"])
     def test_coarse_without_presolve_grid_usage_error(self, tmp_path, capsys,
                                                       coarse):

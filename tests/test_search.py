@@ -9,7 +9,7 @@ from neuspec import (EigenResult, SystemBuilder, TensionSolver,
                      classical_tension, disc_modes_in_window, inclusion_bounds,
                      jnprime_zero, jnprime_zeros_upto, localize_minimum,
                      parabolic_min, sweep, weyl_index)
-from neuspec.errors import NumericalError, RankCollapseError
+from neuspec.errors import DomainError, NumericalError, RankCollapseError
 
 MU_30_1 = 32.534223556790142
 
@@ -151,6 +151,17 @@ class TestLocalizeMinimum:
                                (40.503522859181075, 40.549770878081716),
                                coarse=21)
         assert not res.converged or res.eps_new / res.E <= 1e-12
+
+    @pytest.mark.parametrize("c_est", [-1.0, 0.0, np.nan, np.inf])
+    def test_c_est_not_finite_and_positive_rejected_before_evaluating(
+            self, disc, monkeypatch, c_est):
+        solver = TensionSolver(disc, 64, 32, 0.1)
+        evaluated = []
+        monkeypatch.setattr(type(solver), "evaluate",
+                            lambda self, E: evaluated.append(E))
+        with pytest.raises(DomainError, match="c_est"):
+            localize_minimum(solver, (3.81, 3.84), c_est=c_est, coarse=5)
+        assert evaluated == []
 
     def test_weyl_index_of_solver_curve(self, disc):
         solver = TensionSolver(disc, 64, 32, 0.1)
@@ -448,6 +459,11 @@ class TestBounds:
         eps_new, eps_clas = inclusion_bounds(2.0, 1.0, 1.0, c_est=2.5)
         assert eps_new == 2.5
         assert eps_clas == 2.0 * neuspec.search.C_ENNENBACH
+
+    @pytest.mark.parametrize("c_est", [-1.0, 0.0, np.nan, np.inf])
+    def test_c_est_not_finite_and_positive_rejected(self, c_est):
+        with pytest.raises(DomainError, match="c_est"):
+            inclusion_bounds(2.0, 1.0, 1.0, c_est=c_est)
 
 
 class TestWeylIndex:
