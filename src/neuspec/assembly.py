@@ -414,8 +414,8 @@ class SystemBuilder:
 
         grad phi_n(x) = -sqrt(E) Y1(sqrt(E)|x - y_n|) (x - y_n)/|x - y_n|.
         """
-        if not E > 0:
-            raise DomainError("E must be positive")
+        if not 0 < E < np.inf:
+            raise DomainError("E must be finite and positive")
         k = np.sqrt(E)
         A_val, A_nor, A_tan, A_dil = [np.empty(self._dist.shape)
                                       for _ in range(4)]

@@ -41,21 +41,43 @@ class UsageError(DomainError):
     """Bad flags or config: an input error, so ``main`` exits 2."""
 
 
+def _lines(path, what):
+    """The stripped lines of the file at ``path``, blank lines and ``#``
+    comments left out; a file that cannot be read is a usage error."""
+    try:
+        with open(path) as fh:
+            lines = [line.strip() for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from exc
+    return [line for line in lines if line and not line.startswith("#")]
+
+
+def _key_values(items, malformed):
+    """The ``key=value`` ``items`` as a dict of stripped strings; an item
+    without ``=`` (message: ``malformed`` and the item) or a repeated key is
+    a usage error."""
+    out = {}
+    for item in items:
+        key, eq, val = (part.strip() for part in item.partition("="))
+        if not eq:
+            raise UsageError(f"{malformed} {item!r}")
+        if key in out:
+            raise UsageError(f"repeated key {key!r} in {item!r}")
+        out[key] = val
+    return out
+
+
 def parse_curve(spec):
     """Parse a curve specification string.
 
     ``radial:a0=<f>,eps=<f>,k=<int>,b=<f>`` or ``trig:<path>`` where the file
-    holds whitespace-separated lines ``j c_j d_j``.
+    holds whitespace-separated lines ``j c_j d_j``, one per harmonic j.
     """
     from .geometry import RadialCurve
 
     if spec.startswith("radial:"):
-        fields = {}
-        for item in spec[len("radial:"):].split(","):
-            if "=" not in item:
-                raise UsageError(f"malformed curve field {item!r}")
-            key, _, val = item.partition("=")
-            fields[key.strip()] = val.strip()
+        fields = _key_values(spec[len("radial:"):].split(","),
+                             "malformed curve field")
         try:
             a0 = float(fields.pop("a0"))
             eps = float(fields.pop("eps"))
@@ -70,55 +92,28 @@ def parse_curve(spec):
         except InvalidCurveError as exc:
             raise UsageError(str(exc)) from exc
     if spec.startswith("trig:"):
-        path = spec[len("trig:"):]
-        cos, sin = {}, {}
-        try:
-            with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    parts = line.split()
-                    if len(parts) != 3:
-                        raise UsageError(f"trig file line needs 'j c_j d_j': {line!r}")
-                    try:
-                        j = int(parts[0])
-                        cj, dj = float(parts[1]), float(parts[2])
-                    except ValueError as exc:
-                        raise UsageError(f"bad trig coefficient line {line!r}: {exc}")
-                    if j < 0:
-                        raise UsageError(f"negative harmonic index in {line!r}")
-                    cos[j] = cj
-                    sin[j] = dj
-        except OSError as exc:
-            raise UsageError(f"cannot read trig file: {exc}") from exc
-        if not cos:
+        coef = {}
+        for line in _lines(spec[len("trig:"):], "trig file"):
+            parts = line.split()
+            if len(parts) != 3:
+                raise UsageError(f"trig file line needs 'j c_j d_j': {line!r}")
+            try:
+                j, cd = int(parts[0]), (float(parts[1]), float(parts[2]))
+            except ValueError as exc:
+                raise UsageError(f"bad trig coefficient line {line!r}: {exc}")
+            if j < 0:
+                raise UsageError(f"negative harmonic index in {line!r}")
+            if j in coef:
+                raise UsageError(f"repeated harmonic index in {line!r}")
+            coef[j] = cd
+        if not coef:
             raise UsageError("trig file holds no coefficients")
-        jmax = max(cos)
-        c = [cos.get(j, 0.0) for j in range(jmax + 1)]
-        d = [sin.get(j, 0.0) for j in range(1, jmax + 1)]
+        c, d = zip(*(coef.get(j, (0.0, 0.0)) for j in range(max(coef) + 1)))
         try:
-            return RadialCurve.trig(c, d)
+            return RadialCurve.trig(list(c), list(d[1:]))
         except InvalidCurveError as exc:
             raise UsageError(str(exc)) from exc
     raise UsageError(f"curve spec must start with 'radial:' or 'trig:', got {spec!r}")
-
-
-def _load_config(path):
-    cfg = {}
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"config line needs key=value: {line!r}")
-                key, _, val = line.partition("=")
-                cfg[key.strip()] = val.strip()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from exc
-    return cfg
 
 
 def _parse(ap, argv):
@@ -131,7 +126,8 @@ def _parse(ap, argv):
     args = ap.parse_args(argv)
     if not args.config:
         return args
-    cfg = _load_config(args.config)
+    cfg = _key_values(_lines(args.config, "config file"),
+                      "config line needs key=value:")
     unknown = sorted(cfg.keys() - (vars(args).keys() - {"command", "config"}))
     if unknown:
         raise UsageError(f"config keys name no option of {args.command}: "
@@ -149,15 +145,19 @@ def _require(args, *names):
 
 
 def _require_energy(args, *names):
-    """Usage error for the first of ``names`` <= 0 or whose square is 0;
-    returns the squares, the energies, in the order of ``names``."""
+    """Usage error for the first of ``names`` <= 0 or whose square is 0 or
+    inf; returns the squares, the energies, in the order of ``names``."""
     energies = []
     for name in names:
         f = getattr(args, name)
-        E = f ** 2
-        if not (f > 0 and E > 0):
+        try:
+            E = f ** 2
+        except OverflowError:
+            E = float("inf")
+        if not (f > 0 and 0 < E < float("inf")):
+            bound = "finite" if f > 0 and E > 0 else "> 0"
             raise UsageError(f"--{name}: need {name} > 0 and E = {name}^2 "
-                             f"> 0, got {name} = {f!r}")
+                             f"{bound}, got {name} = {f!r}")
         energies.append(E)
     return energies
 

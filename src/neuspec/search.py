@@ -71,6 +71,7 @@ T_ROUNDING_ULPS = 10.0
 V_FIT_TOL = 0.02
 
 _UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
+_SQRTE_MAX = math.sqrt(np.finfo(float).max)  # the largest f with f^2 finite
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 
@@ -102,7 +103,8 @@ class EigenResult:
     the bounds describe the end, not a dip.  ``presolve_failures`` lists the
     (sqrtE, message) of failed presolve samples in grid order; ``n_presolve``
     counts the grid samples evaluated, failed ones included, and
-    ``n_reused`` the search samples taken from them.
+    ``n_evals_total`` every energy evaluated.  ``t_second`` depends on the
+    BLAS thread count (three-lobe solve: 1.86 at one thread, 2.13 at two).
     """
 
     sqrtE: float
@@ -119,16 +121,12 @@ class EigenResult:
     converged: bool = True
     presolve_failures: tuple = ()
     n_presolve: int = 0
-    n_reused: int = 0
+    n_evals_total: int = 0
 
     @property
-    def n_evals_total(self):
-        """Every evaluation spent: the presolve samples and the search's own
-        less the ``n_reused`` it takes from the presolve (its two bracket
-        ends and the grid minimum between them, or only the ends when that
-        minimum's sample failed).  The slope reuses a search sample and
-        costs none."""
-        return self.n_presolve + self.n_evals - self.n_reused
+    def n_reused(self):
+        """The search samples taken from the presolve."""
+        return self.n_presolve + self.n_evals - self.n_evals_total
 
 
 class TensionSolver:
@@ -159,15 +157,15 @@ class TensionSolver:
 
 
 def _attempt(solver, E):
-    """(evaluation, None) at energy E, or (None, message) when it fails
-    numerically.  An input error, a ``NeuspecError`` that is also a
+    """The evaluation at energy E, or the message (a ``str``) of its
+    numerical failure.  An input error, a ``NeuspecError`` that is also a
     ``ValueError``, propagates."""
     try:
-        return solver.evaluate(E), None
+        return solver.evaluate(E)
     except NeuspecError as exc:
         if isinstance(exc, ValueError):
             raise
-        return None, str(exc)
+        return str(exc)
 
 
 def sweep(solver, sqrtE_min, sqrtE_max, steps):
@@ -178,19 +176,19 @@ def sweep(solver, sqrtE_min, sqrtE_max, steps):
     """
     if steps < 2:
         raise DomainError("steps must be >= 2")
-    if not 0 < sqrtE_min < sqrtE_max:
-        raise DomainError("need 0 < sqrtE_min < sqrtE_max")
+    if not 0 < sqrtE_min < sqrtE_max <= _SQRTE_MAX:
+        raise DomainError("need 0 < sqrtE_min < sqrtE_max, sqrtE_max^2 finite")
     out = []
     for f in np.linspace(sqrtE_min, sqrtE_max, steps):
-        ev, error = _attempt(solver, f * f)
-        if error is None:
+        ev = _attempt(solver, f * f)
+        if not isinstance(ev, str):
             out.append(SweepSample(sqrtE=float(f), t_min=ev.t_min,
                                    rank_eps=ev.rank_eps, c_min=ev.c_min,
                                    rank_H=ev.rank_H))
         else:
             out.append(SweepSample(sqrtE=float(f), t_min=float("nan"),
                                    rank_eps=0, c_min=float("nan"), rank_H=0,
-                                   error=error))
+                                   error=ev))
     return out
 
 
@@ -313,7 +311,7 @@ def parabolic_min(fn, e_lo, e_hi, tol=TOL_DEFAULT, budget=60, e_mid=None):
 def inclusion_bounds(E, t_min, t_clas, c_est=C_EST_DEFAULT):
     """Certified distances to the Neumann spectrum, new and classical;
     ``c_est`` must be finite and positive."""
-    if t_min < 0 or t_clas < 0:
+    if not (t_min >= 0 and t_clas >= 0):
         raise DomainError("tensions must be nonnegative")
     if not 0 < c_est < np.inf:
         raise DomainError("c_est must be finite and positive")
@@ -323,8 +321,8 @@ def inclusion_bounds(E, t_min, t_clas, c_est=C_EST_DEFAULT):
 def weyl_index(curve, E):
     """Two-term eigenvalue-count estimate |Omega| E / 4pi + |dOmega| sqrt(E) / 4pi
     (Neumann sign: boundary term positive)."""
-    if not E > 0:
-        raise DomainError("E must be positive")
+    if not 0 < E < np.inf:
+        raise DomainError("E must be finite and positive")
     _, L = arclength_spectral(curve, 2048)
     return area(curve) * E / (4 * np.pi) + L * np.sqrt(E) / (4 * np.pi)
 
@@ -337,22 +335,24 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
     presolve (module docstring) on a grid of ``coarse`` equispaced
     frequencies; ``coarse=0`` skips it, and the bracket should then contain
     exactly one local minimum (use a sweep to isolate one); 1, 2 and
-    negative values raise ``DomainError``, as does a ``c_est`` that is not
-    finite and positive, before any evaluation.  Presolve samples that fail
-    numerically are skipped and listed in ``presolve_failures``, input
-    errors (each a ``ValueError``) propagate, and all failing raises
-    ``NumericalError``.  If the evaluation budget runs out, or the minimum
+    negative values raise ``DomainError``, as do a ``c_est`` that is not
+    finite and positive and a non-finite sqrtE_hi^2, before any evaluation.
+    Presolve samples that fail numerically are listed in
+    ``presolve_failures`` (a search step onto one raises its message as
+    ``NumericalError``), input errors (each a ``ValueError``) propagate, and
+    all failing raises ``NumericalError``.  If the evaluation budget runs out, or the minimum
     lands on a bracket end (the tension falls toward it, so the dip may lie
     outside), the best iterate is still returned, marked ``converged=False``.
     """
     f_lo, f_hi = bracket
-    if not 0 < f_lo < f_hi:
-        raise DomainError("bracket must satisfy 0 < lo < hi")
+    if not 0 < f_lo < f_hi <= _SQRTE_MAX:
+        raise DomainError("bracket must satisfy 0 < lo < hi, hi^2 finite")
     if not (coarse == 0 or coarse >= 3):
         raise DomainError("coarse must be 0 (no presolve) or at least 3")
     if not 0 < c_est < np.inf:
         raise DomainError("c_est must be finite and positive")
-    evals = {}
+    # every evaluation spent, by energy: its TensionEval or failure message
+    memo = {}
     E_lo, E_hi = f_lo ** 2, f_hi ** 2
     failures = []
     n_presolve = 0
@@ -361,24 +361,22 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
         fs = np.linspace(f_lo, f_hi, coarse)
         Es = fs * fs
         ts = np.full(coarse, np.inf)
-        tried = {}
 
         def sample(i):
             """Evaluate grid point i once; whether it succeeded."""
-            if i not in tried:
-                ev, tried[i] = _attempt(solver, Es[i])
-                if ev is not None:
-                    evals[Es[i]] = ev
+            if Es[i] not in memo:
+                memo[Es[i]] = ev = _attempt(solver, Es[i])
+                if not isinstance(ev, str):
                     ts[i] = ev.t_min
-            return tried[i] is None
+            return not isinstance(memo[Es[i]], str)
 
         if not _v_walk(sample, Es, ts):
             for i in range(coarse):
                 sample(i)
-        n_presolve = len(tried)
-        failures = [(float(fs[i]), msg) for i, msg in sorted(tried.items())
-                    if msg is not None]
-        if not evals:
+        n_presolve = len(memo)
+        failures = [(float(f), memo[E]) for f, E in zip(fs, Es)
+                    if isinstance(memo.get(E), str)]
+        if len(failures) == n_presolve:
             f, msg = failures[0]
             raise NumericalError(f"presolve failed at every sample "
                                  f"(first at sqrtE={f!r}: {msg})")
@@ -386,17 +384,19 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
         E_lo, E_hi = Es[best - 1], Es[best + 1]
         # the grid minimum's own sample, unless it failed (clamped off an
         # end); parabolic_min then starts from the midpoint
-        if Es[best] in evals:
+        if not isinstance(memo[Es[best]], str):
             E_mid = Es[best]
-    presolved = set(evals)
 
     refined = []  # the search's own samples, bracket ends included
 
     def tension_sq(E):
         refined.append(E)
-        if E not in evals:
-            evals[E] = solver.evaluate(E)
-        return evals[E].t_min ** 2
+        if E not in memo:
+            memo[E] = solver.evaluate(E)
+        elif isinstance(memo[E], str):
+            # a failed presolve sample would fail again
+            raise NumericalError(memo[E])
+        return memo[E].t_min ** 2
 
     try:
         E_star, _, n_evals = parabolic_min(tension_sq, E_lo, E_hi, e_mid=E_mid)
@@ -405,11 +405,11 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
     except ConvergenceFailureError as exc:
         E_star, _, n_evals = exc.best
         converged = False
-    best = evals[E_star]
+    best = memo[E_star]
     # the secant to the nearest of the search's own samples (module docstring)
     E_n = min((E for E in refined if E != E_star),
               key=lambda E: abs(E - E_star))
-    slope = (evals[E_n].t_min - best.t_min) / abs(E_n - E_star)
+    slope = (memo[E_n].t_min - best.t_min) / abs(E_n - E_star)
 
     t_bound = best.t_min + T_ROUNDING_ULPS * _UNIT_ROUNDOFF * E_star
     eps_new, eps_clas = inclusion_bounds(E_star, t_bound, best.t_classical,
@@ -421,5 +421,4 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
                        weyl_index=float(weyl_index(solver.curve, E_star)),
                        slope=float(slope), t_second=best.t_second,
                        converged=converged, presolve_failures=tuple(failures),
-                       n_presolve=n_presolve,
-                       n_reused=len(presolved.intersection(refined)))
+                       n_presolve=n_presolve, n_evals_total=len(memo))

@@ -275,6 +275,14 @@ class TestAssembleSystem:
         with pytest.raises(InvalidCurveError):
             SystemBuilder(disc, 64, 128, 0.1)  # N > M
 
+    @pytest.mark.parametrize("E", [np.inf, np.nan, 0.0])
+    def test_energy_not_finite_and_positive_rejected(self, disc, E):
+        # an infinite energy failed inside the Bessel kernels, nan passed on
+        b = SystemBuilder(disc, 64, 16, 0.1)
+        for build in (b.traces, b.system):
+            with pytest.raises(DomainError, match="E must be finite"):
+                build(E)
+
 
 def point_source_sum_blocks(charges, alpha, E, points):
     """The sum as formed before the Y0 chunks grew: one einsum distance

@@ -45,11 +45,41 @@ class TestCurveParsing:
 
     def test_trig_file(self, tmp_path):
         p = tmp_path / "c.txt"
-        p.write_text("0 1.0 0\n2 0.1 -0.05\n")
+        # blank lines and comments are skipped, harmonic 1 is 0
+        p.write_text("# r = 1 + 0.1 cos 2t - 0.05 sin 2t\n\n  # j c_j d_j\n"
+                     "0 1.0 0\n2 0.1 -0.05\n")
         c = cli.parse_curve(f"trig:{p}")
         th = 0.37
         expect = 1.0 + 0.1 * np.cos(2 * th) - 0.05 * np.sin(2 * th)
         assert abs(c.radius(th) - expect) < 1e-15
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\n", "trig file line needs 'j c_j d_j': '0 1'"),
+        ("0 1 x\n", "bad trig coefficient line '0 1 x': could not convert"),
+        ("-1 1 0\n", "negative harmonic index in '-1 1 0'"),
+        # the second line silently set c_0 = 2
+        ("0 1 0\n0 2 0\n", "repeated harmonic index in '0 2 0'"),
+        ("# no coefficient\n\n", "trig file holds no coefficients"),
+        ("0 0.5 0\n1 0.9 0\n", "radius must be positive"),
+    ], ids=["fields", "float", "negative", "repeated", "empty", "radius"])
+    def test_bad_trig_file(self, tmp_path, text, message):
+        p = tmp_path / "c.txt"
+        p.write_text(text)
+        with pytest.raises(cli.UsageError) as info:
+            cli.parse_curve(f"trig:{p}")
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("name", ["missing.txt", "binary.txt"])
+    def test_unreadable_trig_file(self, tmp_path, name):
+        # undecodable bytes ended in a UnicodeDecodeError traceback
+        (tmp_path / "binary.txt").write_bytes(b"0 1 0\n\xff\xfe\n")
+        with pytest.raises(cli.UsageError, match="^cannot read trig file: "):
+            cli.parse_curve(f"trig:{tmp_path / name}")
+
+    def test_repeated_radial_field(self):
+        # the last value silently won
+        with pytest.raises(cli.UsageError, match="repeated key 'a0'"):
+            cli.parse_curve("radial:a0=1,eps=0.3,k=3,b=0.2,a0=2")
 
     @pytest.mark.parametrize("spec", [
         "radial:a0=1,eps=0.3",            # missing fields
@@ -208,8 +238,9 @@ class TestSolveCommand:
 
     def test_config_file_merging_flags_win(self, tmp_path):
         cfg = tmp_path / "solve.cfg"
-        cfg.write_text("curve=radial:a0=1,eps=0,k=1,b=0\nM=256\nN=64\n"
-                       "tau=0.1\nf0=32.50\nf1=32.56\ncoarse=5\n")
+        cfg.write_text("# the disc\ncurve=radial:a0=1,eps=0,k=1,b=0\n\n"
+                       "  # charges\nM=256\nN=64\ntau=0.1\nf0=32.50\n"
+                       "f1=32.56\ncoarse=5\n")
         out = tmp_path / "merged.json"
         rc = run(["solve", "--config", str(cfg), "--N", "128",
                   "--out", str(out)])
@@ -218,6 +249,23 @@ class TestSolveCommand:
         assert doc["N"] == 128          # explicit flag beats the config value
         assert doc["M"] == 256          # config fills everything else
         assert abs(doc["sqrtE"] - MU_30_1) < 1e-9
+
+    @pytest.mark.parametrize("text, message", [
+        ("M=64\nN 32\n", "config line needs key=value: 'N 32'"),
+        # the last value silently won
+        ("M=64\nN=32\nM=128\n", "repeated key 'M' in 'M=128'"),
+        (None, "cannot read config file: "),
+    ], ids=["malformed", "repeated", "missing"])
+    def test_bad_config_file_usage_error(self, tmp_path, capsys, text,
+                                         message):
+        cfg = tmp_path / "solve.cfg"
+        if text is not None:
+            cfg.write_text(f"curve={DISC}\ntau=0.1\n{text}")
+        rc = run(["solve", "--config", str(cfg), "--f0", "3.81", "--f1",
+                  "3.84", "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"solve: {message}")
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("cest", ["-1", "0", "nan", "inf"])
     def test_cest_not_finite_and_positive_usage_error(self, tmp_path, capsys,
@@ -446,6 +494,16 @@ _SYSTEM_CASES = {
 # gave these codes: the M70, N80, sweep-tau-1 and disc-check range rows ended
 # in a traceback (exit 1), solve-tau-1, mode-tau-1 and mode-freq0.5 exited 3,
 # and disc-check-nmax-1 passed (exit 0).
+# one energy flag set to the value, the command's other flags valid
+_OVERFLOW_CASES = {
+    f"{cmd}-{flag[2:]}{value}": (cmd, [flag, value, *rest])
+    for cmd, flag, rest in [
+        ("mode", "--freq", ["--nx", "5"]),
+        ("solve", "--f0", ["--f1", "3.84"]),
+        ("solve", "--f1", ["--f0", "3.81"]),
+        ("sweep", "--fmin", ["--fmax", "3.4", "--steps", "3"]),
+        ("sweep", "--fmax", ["--fmin", "3.0", "--steps", "3"])]
+    for value in ["1e200", "inf"]}
 _EXIT_CASES = {
     **{f"{cmd}-{case}": ([cmd, *flags, *system], code)
        for case, (system, code) in _SYSTEM_CASES.items()
@@ -476,6 +534,11 @@ _EXIT_CASES = {
     "sweep-fmax2e-200": (["sweep", "--curve", DISC, "--fmin", "1e-200",
                           "--fmax", "2e-200", "--steps", "3", "--M", "64",
                           "--N", "32", "--tau", "0.1"], 2),
+    # E = freq^2 overflows: an OverflowError traceback (exit 1), or for inf
+    # a numpy warning line and then "E must be positive"
+    **{case: ([cmd, "--curve", DISC, *flags, "--M", "64", "--N", "32",
+               "--tau", "0.1"], 2)
+       for case, (cmd, flags) in _OVERFLOW_CASES.items()},
 }
 
 
@@ -505,6 +568,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"{argv[0]}: {flag}: need {name} > 0 and E = {name}^2 > 0, got "
             f"{name} = 1e-200\n")
+
+    @pytest.mark.parametrize("case", _OVERFLOW_CASES)
+    def test_overflowing_energy_names_flag(self, tmp_path, capsys, case):
+        argv, _ = _EXIT_CASES[case]
+        flag, value = _OVERFLOW_CASES[case][1][:2]
+        assert run([*argv, "--out", str(tmp_path / "x.out")]) == 2
+        name = flag[2:]
+        assert capsys.readouterr().err == (
+            f"{argv[0]}: {flag}: need {name} > 0 and E = {name}^2 finite, "
+            f"got {name} = {float(value)!r}\n")
+        assert not (tmp_path / "x.out").exists()
 
     def test_console_script_path(self, tmp_path):
         src = Path(cli.__file__).resolve().parents[1]

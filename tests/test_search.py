@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -83,6 +85,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(TensionSolver(disc, 64, 32, 0.1), 3.5, 3.0, 5)
 
+    @pytest.mark.parametrize("fmax", [np.inf, np.nan, 1e200])
+    def test_non_finite_energy_rejected_before_evaluating(self, disc, fmax):
+        stub = _Stub(disc, lambda E: 1.0)
+        with pytest.raises(DomainError, match=r"sqrtE_max\^2 finite"):
+            sweep(stub, 3.0, fmax, 3)
+        assert stub.calls == []
+
 
 class TestLocalizeMinimum:
     def test_disc_reference_zero_to_1e10(self, disc):
@@ -162,6 +171,14 @@ class TestLocalizeMinimum:
         with pytest.raises(DomainError, match="c_est"):
             localize_minimum(solver, (3.81, 3.84), c_est=c_est, coarse=5)
         assert evaluated == []
+
+    @pytest.mark.parametrize("f_hi", [np.inf, np.nan, 1e200])
+    def test_non_finite_energy_rejected_before_evaluating(self, disc, f_hi):
+        stub = _Stub(disc, lambda E: 1.0)
+        for coarse in (0, 5):
+            with pytest.raises(DomainError, match=r"hi\^2 finite"):
+                localize_minimum(stub, (3.0, f_hi), coarse=coarse)
+        assert stub.calls == []
 
     def test_weyl_index_of_solver_curve(self, disc):
         solver = TensionSolver(disc, 64, 32, 0.1)
@@ -305,8 +322,10 @@ class TestPresolve:
         monkeypatch.setattr(neuspec.search, "_v_walk", lambda *args: False)
         oracle = localize_minimum(solver, bracket, coarse=21)
         assert oracle.n_presolve == 21
+        # the walk spends fewer evaluations, the search reuses as many
+        assert res.n_reused == oracle.n_reused
         for field in dataclasses.fields(EigenResult):
-            if field.name != "n_presolve":
+            if field.name not in ("n_presolve", "n_evals_total"):
                 assert np.array_equal(getattr(res, field.name),
                                       getattr(oracle, field.name)), field.name
 
@@ -356,12 +375,112 @@ class TestPresolve:
         assert res.sqrtE == pytest.approx(40.53011549421898, rel=1e-12)
 
 
+class _Stub:
+    """A solver whose minimum tension at E is ``t(E)``, failing numerically
+    where ``t`` returns None; ``calls`` lists the energies evaluated."""
+
+    def __init__(self, curve, t):
+        self.curve, self.t, self.calls = curve, t, []
+
+    def evaluate(self, E):
+        self.calls.append(E)
+        t = self.t(E)
+        if t is None:
+            raise RankCollapseError("injected")
+        return SimpleNamespace(t_min=t, t_classical=t, alpha=np.ones(1),
+                               t_second=1.0)
+
+
+class TestSearchBranches:
+    """The search's rarer paths on stub tensions over the grid sqrt(E) =
+    3.0, 3.1, ..., 4.0 of ``coarse=11``, each counting its evaluations."""
+
+    FS = np.linspace(3.0, 4.0, 11)
+    # a V with its dip at E = 10.5 between grid points 2 and 3, steepened
+    # left of E = 9.5: the V through the grid ends puts its dip near point
+    # 7, so the walk goes left, and the ends lie off the V through the
+    # walk's minimum
+    STEEP_LEFT = staticmethod(lambda E: abs(E - 10.5)
+                              + 20.0 * max(9.5 - E, 0.0))
+
+    def test_budget_exhausted(self, disc, monkeypatch):
+        monkeypatch.setattr(neuspec.search, "parabolic_min",
+                            functools.partial(parabolic_min, budget=4))
+        stub = _Stub(disc, lambda E: abs(E - 12.3))
+        res = localize_minimum(stub, (3.0, 4.0), coarse=11)
+        assert not res.converged
+        # the symmetric V passes the walk's check after 5 samples
+        assert (res.n_presolve, res.n_evals, res.n_reused,
+                res.n_evals_total) == (5, 4, 3, 6)
+        assert len(stub.calls) == len(set(stub.calls)) == 6
+
+    def test_left_walk(self, disc):
+        stub = _Stub(disc, self.STEEP_LEFT)
+        res = localize_minimum(stub, (3.0, 4.0), coarse=11)
+        Es = list(self.FS ** 2)
+        # ends, the triple about point 7, the walk left to point 1, then
+        # the rest of the grid
+        assert [Es.index(E) for E in stub.calls[:11]] == [
+            0, 10, 6, 7, 8, 5, 4, 3, 2, 1, 9]
+        assert res.converged
+        assert res.E == pytest.approx(10.5, rel=1e-13)
+        assert (res.n_presolve, res.n_evals, res.n_reused,
+                res.n_evals_total) == (11, 4, 3, 12)
+        assert len(stub.calls) == len(set(stub.calls)) == 12
+
+    def test_failed_walk_sample(self, disc):
+        Es = list(self.FS ** 2)
+        stub = _Stub(disc, lambda E: None if E == Es[5]
+                     else self.STEEP_LEFT(E))
+        res = localize_minimum(stub, (3.0, 4.0), coarse=11)
+        # the walk's first step, to point 5, fails: the rest of the grid
+        # follows, and point 5 is not evaluated again
+        assert [Es.index(E) for E in stub.calls[:11]] == [
+            0, 10, 6, 7, 8, 5, 1, 2, 3, 4, 9]
+        assert res.presolve_failures == ((self.FS[5], "injected"),)
+        assert res.converged
+        assert (res.n_presolve, res.n_evals, res.n_reused,
+                res.n_evals_total) == (11, 4, 3, 12)
+        assert len(stub.calls) == len(set(stub.calls)) == 12
+
+    def test_golden_fallback_on_flat_tension(self, disc):
+        # a grid two ulps of sqrt(E) wide: E = 4 + (0, 2, 4) ulp(4).  A flat
+        # tension fits no parabola, so golden steps take the ulps between,
+        # until the next step rounds onto the bracket middle
+        f_hi = np.nextafter(np.nextafter(2.0, 3.0), 3.0)
+        stub = _Stub(disc, lambda E: 1.0)
+        res = localize_minimum(stub, (2.0, float(f_hi)), coarse=3)
+        assert [(E - 4.0) / np.spacing(4.0) for E in stub.calls] == [
+            0, 4, 2, 3, 1]
+        # the first of the equal samples, the lower end, is the minimum
+        assert res.E == 4.0 and not res.converged
+        assert (res.n_presolve, res.n_evals, res.n_reused,
+                res.n_evals_total) == (3, 5, 3, 5)
+
+    def test_failed_bracket_end_not_evaluated_again(self, disc):
+        # the grid minimum, point 3, sits next to the failed point 4, an
+        # end of the search's bracket: the search raises the presolve's
+        # message without a second evaluation
+        Es = list(self.FS ** 2)
+        stub = _Stub(disc, lambda E: None if E == Es[4]
+                     else abs(E - 10.9))
+        with pytest.raises(NumericalError, match="^injected$"):
+            localize_minimum(stub, (3.0, 4.0), coarse=11)
+        assert stub.calls.count(Es[4]) == 1
+
+
 class TestStatelessSolver:
     # the disc bracket (3.81, 3.84) holds j'_{0,1} = 3.83171 alone
     BRACKET = (3.81, 3.84)
 
     def test_solver_keeps_its_curve(self, disc):
         assert TensionSolver(disc, 64, 32, 0.1).curve is disc
+
+    @pytest.mark.parametrize("E", [np.inf, np.nan])
+    def test_energy_not_finite_rejected(self, disc, E):
+        solver = TensionSolver(disc, 64, 32, 0.1)
+        with pytest.raises(DomainError, match="E must be finite"):
+            solver.evaluate(E)
 
     def test_attributes_unchanged(self, disc):
         solver = TensionSolver(disc, 64, 32, 0.1)
@@ -460,6 +579,11 @@ class TestBounds:
         assert eps_new == 2.5
         assert eps_clas == 2.0 * neuspec.search.C_ENNENBACH
 
+    @pytest.mark.parametrize("t_min, t_clas", [(np.nan, 0.1), (0.1, np.nan)])
+    def test_nan_tension_rejected(self, t_min, t_clas):
+        with pytest.raises(DomainError, match="tensions"):
+            inclusion_bounds(1.0, t_min, t_clas)
+
     @pytest.mark.parametrize("c_est", [-1.0, 0.0, np.nan, np.inf])
     def test_c_est_not_finite_and_positive_rejected(self, c_est):
         with pytest.raises(DomainError, match="c_est"):
@@ -481,6 +605,11 @@ class TestWeylIndex:
                 count += 1 if n == 0 else 2
         est = weyl_index(disc, E)
         assert abs(est - count) <= 1.0
+
+    @pytest.mark.parametrize("E", [np.inf, np.nan, 0.0])
+    def test_energy_not_finite_and_positive_rejected(self, disc, E):
+        with pytest.raises(DomainError, match="E must be finite"):
+            weyl_index(disc, E)
 
     def test_wobbly_reference_index(self, wobbly):
         est = weyl_index(wobbly, 405.003269518228 ** 2)
