@@ -29,9 +29,8 @@ _EXPORTS = {
     "geometry": ("BoundaryGrid", "ChargeSet", "InteriorGrid", "RadialCurve",
                  "arclength_spectral", "area", "build_grid", "charge_points",
                  "contains", "interior_grid"),
-    "search": ("EigenResult", "SweepSample", "TensionSolver",
-               "inclusion_bounds", "localize_minimum", "parabolic_min",
-               "sweep", "weyl_index"),
+    "search": ("EigenResult", "TensionSolver", "inclusion_bounds",
+               "localize_minimum", "parabolic_min", "sweep", "weyl_index"),
     "special": ("bessel_jn", "bessel_jn_prime", "bessel_y0", "bessel_y1",
                 "jnprime_zero", "jnprime_zeros", "jnprime_zeros_upto"),
     "tension": ("TensionEval", "classical_tension", "min_tension"),

@@ -236,18 +236,16 @@ def cmd_sweep(args):
     solver = _solver(args)
     from .search import sweep
 
-    samples = sweep(solver, args.fmin, args.fmax, args.steps)
-    bad = [s for s in samples if not s.ok]
-    for s in bad:
-        print(f"sweep: evaluation failed at sqrtE={_fmt(s.sqrtE)}: {s.error}",
-              file=sys.stderr)
-    if len(bad) == len(samples):
-        raise NumericalError("every sample failed")
     lines = ["sqrtE,tension_min,rank_eps,c_min,rank_H"]
-    for s in samples:
-        if s.ok:
-            lines.append(f"{_fmt(s.sqrtE)},{_fmt(s.t_min)},{s.rank_eps},"
-                         f"{_fmt(s.c_min)},{s.rank_H}")
+    for f, ev in sweep(solver, args.fmin, args.fmax, args.steps):
+        if isinstance(ev, str):
+            print(f"sweep: evaluation failed at sqrtE={_fmt(f)}: {ev}",
+                  file=sys.stderr)
+        else:
+            lines.append(f"{_fmt(f)},{_fmt(ev.t_min)},{ev.rank_eps},"
+                         f"{_fmt(ev.c_min)},{ev.rank_H}")
+    if len(lines) == 1:  # the header alone
+        raise NumericalError("every sample failed")
     with open(args.out, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return EXIT_OK

@@ -7,6 +7,8 @@ garbage" from "the computation degenerated": the CLI exits 2 (usage error)
 for a ``NeuspecError`` that is a ``ValueError`` and 3 (numerical failure)
 for any other, so a new input error must subclass both, and the library
 raises no bare ``ValueError``, which would end the CLI in a traceback.
+A search that runs out of evaluations is an outcome, not an error: the
+search returns its best iterate marked unconverged.
 """
 
 
@@ -62,17 +64,6 @@ class RankCollapseError(NeuspecError):
 
 class NoInteriorMassError(NeuspecError):
     """Trial space is numerically annihilated by the interior-norm factor."""
-
-
-class ConvergenceFailureError(NeuspecError):
-    """Minimum search exhausted its evaluation budget.
-
-    The best iterate found so far is attached so callers can still report it.
-    """
-
-    def __init__(self, message, best=None):
-        self.best = best
-        super().__init__(message)
 
 
 class IncompleteEnumerationError(NeuspecError):

@@ -134,7 +134,7 @@ class RadialCurve:
             a0, eps, k, b = self._params
             return f"RadialCurve.radial(a0={a0}, eps={eps}, k={k}, b={b})"
         c, d = self._params
-        return f"RadialCurve.trig({list(c)}, {list(d)})"
+        return f"RadialCurve.trig({c.tolist()}, {d.tolist()})"
 
 
 @dataclass(frozen=True)

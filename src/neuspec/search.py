@@ -6,15 +6,16 @@ comparable upper and lower bounds), so ``parabolic_min`` minimizes t^2(E),
 optionally from the smallest sample of a coarse grid (the presolve) and its
 neighbours.  ``sweep`` and ``localize_minimum`` search with a
 ``TensionSolver``, each of whose evaluations yields the weighted t_min and
-the classical t_clas of its minimizer from one assembled system; nothing is
-kept between evaluations.  Located minima convert to bounds on the distance
-from E to the Neumann spectrum, in energy units:
+the classical t_clas of its minimizer from one assembled system; a search
+keeps one record per energy, the ``TensionEval`` or its failure message (a
+``str``).  Located minima convert to bounds on the distance from E to the
+Neumann spectrum, in energy units:
 
     eps_new  = C_est * t_min          (C_est = 1.6)
     eps_clas = C_enn * E * t_clas     (C_enn = 7.4)
 
 The reported slope is a diagnostic that no bound reads: the secant from the
-minimum to the nearest of the search's own samples (on the disc, s = 2^-1/2).
+minimum to the nearest other evaluated energy (on the disc, s = 2^-1/2).
 
 The paper's bound holds for the exact tension; the computed one carries a
 rounding error of a few u*E (u = 2^-53) from the Bessel kernels and from
@@ -59,8 +60,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import SystemBuilder
-from .errors import (ConvergenceFailureError, DomainError, NeuspecError,
-                     NumericalError)
+from .errors import DomainError, NeuspecError, NumericalError
 from .geometry import area, arclength_spectral
 from .tension import classical_tension, min_tension
 
@@ -74,20 +74,6 @@ _UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
 _SQRTE_MAX = math.sqrt(np.finfo(float).max)  # the largest f with f^2 finite
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-
-
-@dataclass(frozen=True)
-class SweepSample:
-    sqrtE: float
-    t_min: float
-    rank_eps: int
-    c_min: float
-    rank_H: int
-    error: str | None = None
-
-    @property
-    def ok(self):
-        return self.error is None
 
 
 @dataclass(frozen=True)
@@ -171,25 +157,16 @@ def _attempt(solver, E):
 def sweep(solver, sqrtE_min, sqrtE_max, steps):
     """Minimum tension of ``solver`` at ``steps`` equispaced frequencies.
 
-    Numerical failures at individual energies are recorded as samples with
-    an error message; an input error (a ``ValueError``) aborts the sweep.
+    Returns one ``(sqrtE, record)`` pair per frequency, the record being the
+    ``TensionEval`` or the message (a ``str``) of a numerical failure at
+    that energy; an input error (a ``ValueError``) aborts the sweep.
     """
     if steps < 2:
         raise DomainError("steps must be >= 2")
     if not 0 < sqrtE_min < sqrtE_max <= _SQRTE_MAX:
         raise DomainError("need 0 < sqrtE_min < sqrtE_max, sqrtE_max^2 finite")
-    out = []
-    for f in np.linspace(sqrtE_min, sqrtE_max, steps):
-        ev = _attempt(solver, f * f)
-        if not isinstance(ev, str):
-            out.append(SweepSample(sqrtE=float(f), t_min=ev.t_min,
-                                   rank_eps=ev.rank_eps, c_min=ev.c_min,
-                                   rank_H=ev.rank_H))
-        else:
-            out.append(SweepSample(sqrtE=float(f), t_min=float("nan"),
-                                   rank_eps=0, c_min=float("nan"), rank_H=0,
-                                   error=ev))
-    return out
+    return [(float(f), _attempt(solver, f * f))
+            for f in np.linspace(sqrtE_min, sqrtE_max, steps)]
 
 
 def _v_walk(sample, Es, ts):
@@ -240,14 +217,14 @@ def parabolic_min(fn, e_lo, e_hi, tol=TOL_DEFAULT, budget=60, e_mid=None):
     ``fn`` maps an abscissa to the value being minimized (here: t^2 at an
     energy).  Starting from the endpoints and ``e_mid`` between them (by
     default the midpoint), a bracketing triple is established by golden
-    steps toward the lower side, then refined: fit a parabola through the
+    steps toward the lower side, then narrowed: fit a parabola through the
     triple, evaluate at its vertex, and update the bracket so the middle
     point stays the running minimum, with a golden-section step into the
     wider flank whenever the fit is non-convex or the vertex escapes.  Stops
     when the vertex update falls below ``tol`` times the bracket middle.
-    Returns (e_best, y_best, n_evals), the best iterate and the number of
-    evaluations; when ``budget`` evaluations do not suffice, raises
-    ``ConvergenceFailureError`` carrying the same.
+    Returns (e_best, y_best, n_evals, done): the best iterate, the number
+    of evaluations, and whether the search stopped before ``budget``
+    evaluations ran out.
     """
     if not e_lo < e_hi:
         raise DomainError("empty bracket")
@@ -262,13 +239,9 @@ def parabolic_min(fn, e_lo, e_hi, tol=TOL_DEFAULT, budget=60, e_mid=None):
             cache[e] = fn(e)
         return cache[e]
 
-    def finish():
+    def finish(done=True):
         e_best = min(cache, key=cache.get)
-        return e_best, cache[e_best], len(cache)
-
-    def exhausted():
-        return ConvergenceFailureError(
-            f"evaluation budget {budget} exhausted", best=finish())
+        return e_best, cache[e_best], len(cache), done
 
     a, b, c = e_lo, e_mid, e_hi
     for e in (a, b, c):
@@ -278,7 +251,7 @@ def parabolic_min(fn, e_lo, e_hi, tol=TOL_DEFAULT, budget=60, e_mid=None):
     # finish() returns the endpoint itself)
     while f(b) > min(f(a), f(c)):
         if len(cache) >= budget:
-            raise exhausted()
+            return finish(False)
         if f(a) < f(c):
             a, b, c = a, a + _GOLDEN * (b - a), b
         else:
@@ -305,12 +278,14 @@ def parabolic_min(fn, e_lo, e_hi, tol=TOL_DEFAULT, budget=60, e_mid=None):
             a, b, c = (a, v, b) if yv < yb else (v, b, c)
         else:
             a, b, c = (b, v, c) if yv < yb else (a, b, v)
-    raise exhausted()
+    return finish(False)
 
 
 def inclusion_bounds(E, t_min, t_clas, c_est=C_EST_DEFAULT):
     """Certified distances to the Neumann spectrum, new and classical;
-    ``c_est`` must be finite and positive."""
+    ``E`` and ``c_est`` must be finite and positive."""
+    if not 0 < E < np.inf:
+        raise DomainError("E must be finite and positive")
     if not (t_min >= 0 and t_clas >= 0):
         raise DomainError("tensions must be nonnegative")
     if not 0 < c_est < np.inf:
@@ -387,10 +362,7 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
         if not isinstance(memo[Es[best]], str):
             E_mid = Es[best]
 
-    refined = []  # the search's own samples, bracket ends included
-
     def tension_sq(E):
-        refined.append(E)
         if E not in memo:
             memo[E] = solver.evaluate(E)
         elif isinstance(memo[E], str):
@@ -398,16 +370,15 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
             raise NumericalError(memo[E])
         return memo[E].t_min ** 2
 
-    try:
-        E_star, _, n_evals = parabolic_min(tension_sq, E_lo, E_hi, e_mid=E_mid)
-        # parabolic_min returns a bracket end bit-exactly, so `in` finds it
-        converged = E_star not in (E_lo, E_hi)
-    except ConvergenceFailureError as exc:
-        E_star, _, n_evals = exc.best
-        converged = False
+    E_star, _, n_evals, done = parabolic_min(tension_sq, E_lo, E_hi,
+                                             e_mid=E_mid)
+    # parabolic_min returns a bracket end bit-exactly, so `in` finds it
+    converged = done and E_star not in (E_lo, E_hi)
     best = memo[E_star]
-    # the secant to the nearest of the search's own samples (module docstring)
-    E_n = min((E for E in refined if E != E_star),
+    # the secant to the nearest other successful evaluation: a search sample,
+    # as every other one is a grid point outside [E_lo, E_hi]
+    E_n = min((E for E, ev in memo.items()
+               if E != E_star and not isinstance(ev, str)),
               key=lambda E: abs(E - E_star))
     slope = (memo[E_n].t_min - best.t_min) / abs(E_n - E_star)
 

@@ -223,6 +223,33 @@ class TestSolveCommand:
         assert rc == 3
         assert json.loads(out.read_text())["converged"] is False
 
+    def test_failed_presolve_samples_reported(self, tmp_path, monkeypatch,
+                                              capsys):
+        # the grid ends fail; the minimum between them is still found
+        from neuspec.errors import NumericalError
+        from neuspec.search import TensionSolver
+
+        fs = np.linspace(3.7, 3.95, 11)[[0, 10]]
+        real = TensionSolver.evaluate
+
+        def evaluate(solver, E):
+            if E in {f * f for f in fs}:
+                raise NumericalError("injected")
+            return real(solver, E)
+
+        monkeypatch.setattr(TensionSolver, "evaluate", evaluate)
+        out = tmp_path / "solve.json"
+        rc = run(["solve", "--curve", DISC, "--f0", "3.7", "--f1", "3.95",
+                  "--M", "64", "--N", "32", "--tau", "0.1", "--coarse", "11",
+                  "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == "".join(
+            f"solve: presolve failed at sqrtE={cli._fmt(f)}: injected\n"
+            for f in fs)
+        doc = json.loads(out.read_text())
+        assert doc["converged"] is True
+        assert doc["n_presolve"] == 11
+
     def test_malformed_curve_exit2(self, tmp_path):
         rc = run(["solve", "--curve", "radial:bogus", "--f0", "3", "--f1", "4",
                   "--M", "64", "--N", "32", "--tau", "0.1",
@@ -365,10 +392,12 @@ class TestLibraryDefaults:
         rows = list(csv.DictReader(out.open()))
         samples = sweep(TensionSolver(disc, 256, 128, 0.1), 27.72, 27.74, 2)
         assert len(rows) == len(samples)
-        for r, s in zip(rows, samples):
-            assert float(r["tension_min"]) == s.t_min
-            assert float(r["c_min"]) == s.c_min
-            assert int(r["rank_eps"]) == s.rank_eps
+        for r, (f, ev) in zip(rows, samples):
+            assert float(r["sqrtE"]) == f
+            assert float(r["tension_min"]) == ev.t_min
+            assert float(r["c_min"]) == ev.c_min
+            assert int(r["rank_eps"]) == ev.rank_eps
+            assert int(r["rank_H"]) == ev.rank_H
 
     def test_mode(self, tmp_path, disc):
         from neuspec import TensionSolver, interior_grid, raster_sum

@@ -59,7 +59,26 @@ class TestBuildGrid:
             RadialCurve.radial(1.0, 1.5, 3, 0.2)
 
 
+class TestRadialCurve:
+    def test_bad_constructor_arguments(self):
+        with pytest.raises(InvalidCurveError, match="positive integer"):
+            RadialCurve.radial(1.0, 0.3, 0, 0.2)
+        with pytest.raises(InvalidCurveError, match="constant cosine"):
+            RadialCurve.trig([])
+
+    def test_repr_prints_plain_floats(self):
+        assert (repr(RadialCurve.trig([1.0, 0.1], [0.05]))
+                == "RadialCurve.trig([1.0, 0.1], [0.05])")
+        assert repr(RadialCurve.circle()) == "RadialCurve.trig([1.0], [])"
+        assert (repr(RadialCurve.radial(1, 0.3, 3, 0.2))
+                == "RadialCurve.radial(a0=1.0, eps=0.3, k=3, b=0.2)")
+
+
 class TestArclength:
+    def test_odd_node_count_rejected(self, disc):
+        with pytest.raises(InvalidCurveError, match="M must be even"):
+            arclength_spectral(disc, 63)
+
     def test_circle_exact(self, disc):
         s, L = arclength_spectral(disc, 64)
         assert abs(L - 2 * np.pi) < 1e-14
@@ -140,6 +159,10 @@ class TestChargePoints:
     def test_invalid_tau(self, disc):
         with pytest.raises(InvalidCurveError):
             charge_points(disc, 8, 0.0)
+
+    def test_no_charges_rejected(self, disc):
+        with pytest.raises(InvalidCurveError, match="N must be positive"):
+            charge_points(disc, 0, 0.1)
 
     def test_first_interior_charge_reported(self, wobbly):
         # at tau=0.1 the continuation of the three-lobe curve folds back

@@ -24,7 +24,8 @@ class TestParabolicMin:
             calls.append(E)
             return (E - 5.0) ** 2 + 1e-6
 
-        e, y, n = parabolic_min(f, 3.0, 8.0, tol=1e-13)
+        e, y, n, done = parabolic_min(f, 3.0, 8.0, tol=1e-13)
+        assert done
         assert abs(e - 5.0) < 1e-9
         assert n <= 4
         assert len(calls) == n
@@ -36,48 +37,71 @@ class TestParabolicMin:
             calls.append(E)
             return (E - 5.0) ** 2 + 1e-6
 
-        e, y, n = parabolic_min(f, 3.0, 8.0, tol=1e-13, e_mid=4.5)
+        e, y, n, done = parabolic_min(f, 3.0, 8.0, tol=1e-13, e_mid=4.5)
+        assert done
         assert calls[:3] == [3.0, 4.5, 8.0]
         assert abs(e - 5.0) < 1e-9
         with pytest.raises(ValueError):
             parabolic_min(f, 3.0, 8.0, e_mid=8.0)
 
-    def test_budget_exhaustion_raises_with_best(self):
-        from neuspec.errors import ConvergenceFailureError
+    def test_budget_exhaustion_returns_best(self):
         # noisy function defeats the vertex stopping rule
         rng = np.random.default_rng(7)
+        seen = {}
 
         def f(E):
-            return abs(E - 5.0) + rng.uniform(0, 1e-3)
+            seen[E] = abs(E - 5.0) + rng.uniform(0, 1e-3)
+            return seen[E]
 
-        with pytest.raises(ConvergenceFailureError) as info:
-            parabolic_min(f, 3.0, 8.0, tol=1e-16, budget=12)
-        e_best, y_best, n = info.value.best
+        e_best, y_best, n, done = parabolic_min(f, 3.0, 8.0, tol=1e-16,
+                                                budget=12)
+        assert done is False
         assert 3.0 <= e_best <= 8.0
         assert n == 12
+        assert y_best == seen[e_best] == min(seen.values())
+
+    def test_budget_exhausted_while_bracketing(self):
+        # the minimum sits on the left end, so the middle never drops below
+        # it and the budget runs out before a bracketing triple exists
+        calls = []
+
+        def f(E):
+            calls.append(E)
+            return E
+
+        assert parabolic_min(f, 3.0, 8.0, budget=5) == (3.0, 3.0, 5, False)
+        assert len(calls) == 5
+
+    def test_empty_bracket_rejected(self):
+        calls = []
+        for lo, hi in ((3.0, 3.0), (8.0, 3.0)):
+            with pytest.raises(DomainError, match="empty bracket"):
+                parabolic_min(calls.append, lo, hi)
+        assert calls == []
 
     def test_golden_fallback_on_concave_start(self):
         # concave bump with a sharp minimum near the right edge
         f = lambda E: -((E - 5.0) ** 2) + 100 * max(E - 7.6, 0.0) ** 2
-        e, y, n = parabolic_min(f, 3.0, 8.0, tol=1e-10, budget=40)
+        e, y, n, done = parabolic_min(f, 3.0, 8.0, tol=1e-10, budget=40)
         assert 3.0 <= e <= 8.0
 
 
 class TestSweep:
     def test_disc_sweep_brackets_reference_zero(self, disc):
         samples = sweep(TensionSolver(disc, 256, 128, 0.1), 32.4, 32.6, 21)
-        assert all(s.ok for s in samples)
-        assert all(s.t_min >= 0 for s in samples)
-        best = min(samples, key=lambda s: s.t_min)
+        assert not any(isinstance(ev, str) for _, ev in samples)
+        assert all(ev.t_min >= 0 for _, ev in samples)
+        f_best, _ = min(samples, key=lambda s: s[1].t_min)
         step = (32.6 - 32.4) / 20
-        assert abs(best.sqrtE - MU_30_1) <= step
+        assert abs(f_best - MU_30_1) <= step
 
     def test_deterministic(self, disc):
         a = sweep(TensionSolver(disc, 64, 32, 0.1), 3.0, 3.5, 5)
         b = sweep(TensionSolver(disc, 64, 32, 0.1), 3.0, 3.5, 5)
-        for s1, s2 in zip(a, b):
-            assert s1.t_min == s2.t_min
-            assert s1.c_min == s2.c_min
+        for (f1, ev1), (f2, ev2) in zip(a, b):
+            assert f1 == f2
+            assert ev1.t_min == ev2.t_min
+            assert ev1.c_min == ev2.c_min
 
     def test_bad_arguments(self, disc):
         with pytest.raises(ValueError):
@@ -194,7 +218,8 @@ class TestLocalizeMinimum:
             seen.append(t2)
             return t2
 
-        e, y, n = parabolic_min(f, 32.52 ** 2, 32.55 ** 2, tol=1e-13)
+        e, y, n, done = parabolic_min(f, 32.52 ** 2, 32.55 ** 2, tol=1e-13)
+        assert done
         assert y <= min(seen) + 1e-15
 
 
@@ -583,6 +608,11 @@ class TestBounds:
     def test_nan_tension_rejected(self, t_min, t_clas):
         with pytest.raises(DomainError, match="tensions"):
             inclusion_bounds(1.0, t_min, t_clas)
+
+    @pytest.mark.parametrize("E", [-4.0, 0.0, np.nan, np.inf])
+    def test_energy_not_finite_and_positive_rejected(self, E):
+        with pytest.raises(DomainError, match="E must be finite and positive"):
+            inclusion_bounds(E, 0.1, 0.1)
 
     @pytest.mark.parametrize("c_est", [-1.0, 0.0, np.nan, np.inf])
     def test_c_est_not_finite_and_positive_rejected(self, c_est):

@@ -271,6 +271,9 @@ class TestJnPrimeZeros:
                 np.testing.assert_array_equal(
                     jnprime_zeros_upto(n, np.nextafter(zs[k - 1], 0)),
                     zs[:k - 1])
+        # below the order, and between it and j'_{5,1} = 6.4156
+        assert jnprime_zeros_upto(5, 4.0).shape == (0,)
+        assert jnprime_zeros_upto(5, 6.0).shape == (0,)
 
     def test_zeros_upto_matches_indexed(self):
         zs = jnprime_zeros_upto(4, 25.0)
