@@ -23,8 +23,7 @@ import os
 import sys
 import time
 
-from .errors import (DomainError, InvalidCurveError, NeuspecError,
-                     NumericalError)
+from .errors import DomainError, NeuspecError, NumericalError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -37,10 +36,6 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-class UsageError(DomainError):
-    """Bad flags or config: an input error, so ``main`` exits 2."""
-
-
 def _lines(path, what):
     """The stripped lines of the file at ``path``, blank lines and ``#``
     comments left out; a file that cannot be read is a usage error."""
@@ -48,7 +43,7 @@ def _lines(path, what):
         with open(path) as fh:
             lines = [line.strip() for line in fh]
     except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read {what}: {exc}") from exc
+        raise DomainError(f"cannot read {what}: {exc}") from exc
     return [line for line in lines if line and not line.startswith("#")]
 
 
@@ -60,9 +55,9 @@ def _key_values(items, malformed):
     for item in items:
         key, eq, val = (part.strip() for part in item.partition("="))
         if not eq:
-            raise UsageError(f"{malformed} {item!r}")
+            raise DomainError(f"{malformed} {item!r}")
         if key in out:
-            raise UsageError(f"repeated key {key!r} in {item!r}")
+            raise DomainError(f"repeated key {key!r} in {item!r}")
         out[key] = val
     return out
 
@@ -84,36 +79,30 @@ def parse_curve(spec):
             k = int(fields.pop("k"))
             b = float(fields.pop("b"))
         except (KeyError, ValueError) as exc:
-            raise UsageError(f"bad radial curve spec: {exc}") from exc
+            raise DomainError(f"bad radial curve spec: {exc}") from exc
         if fields:
-            raise UsageError(f"unknown curve fields {sorted(fields)}")
-        try:
-            return RadialCurve.radial(a0, eps, k, b)
-        except InvalidCurveError as exc:
-            raise UsageError(str(exc)) from exc
+            raise DomainError(f"unknown curve fields {sorted(fields)}")
+        return RadialCurve.radial(a0, eps, k, b)
     if spec.startswith("trig:"):
         coef = {}
         for line in _lines(spec[len("trig:"):], "trig file"):
             parts = line.split()
             if len(parts) != 3:
-                raise UsageError(f"trig file line needs 'j c_j d_j': {line!r}")
+                raise DomainError(f"trig file line needs 'j c_j d_j': {line!r}")
             try:
                 j, cd = int(parts[0]), (float(parts[1]), float(parts[2]))
             except ValueError as exc:
-                raise UsageError(f"bad trig coefficient line {line!r}: {exc}")
+                raise DomainError(f"bad trig coefficient line {line!r}: {exc}")
             if j < 0:
-                raise UsageError(f"negative harmonic index in {line!r}")
+                raise DomainError(f"negative harmonic index in {line!r}")
             if j in coef:
-                raise UsageError(f"repeated harmonic index in {line!r}")
+                raise DomainError(f"repeated harmonic index in {line!r}")
             coef[j] = cd
         if not coef:
-            raise UsageError("trig file holds no coefficients")
+            raise DomainError("trig file holds no coefficients")
         c, d = zip(*(coef.get(j, (0.0, 0.0)) for j in range(max(coef) + 1)))
-        try:
-            return RadialCurve.trig(list(c), list(d[1:]))
-        except InvalidCurveError as exc:
-            raise UsageError(str(exc)) from exc
-    raise UsageError(f"curve spec must start with 'radial:' or 'trig:', got {spec!r}")
+        return RadialCurve.trig(list(c), list(d[1:]))
+    raise DomainError(f"curve spec must start with 'radial:' or 'trig:', got {spec!r}")
 
 
 def _parse(ap, argv):
@@ -130,8 +119,8 @@ def _parse(ap, argv):
                       "config line needs key=value:")
     unknown = sorted(cfg.keys() - (vars(args).keys() - {"command", "config"}))
     if unknown:
-        raise UsageError(f"config keys name no option of {args.command}: "
-                         f"{', '.join(unknown)}")
+        raise DomainError(f"config keys name no option of {args.command}: "
+                          f"{', '.join(unknown)}")
     pre = [f"--{key}={val}" for key, val in cfg.items()]
     return ap.parse_args([argv[0], *pre, *argv[1:]])
 
@@ -141,7 +130,7 @@ def _require(args, *names):
     set."""
     for name in names:
         if getattr(args, name) is None:
-            raise UsageError(f"missing required option --{name}")
+            raise DomainError(f"missing required option --{name}")
 
 
 def _require_energy(args, *names):
@@ -156,8 +145,8 @@ def _require_energy(args, *names):
             E = float("inf")
         if not (f > 0 and 0 < E < float("inf")):
             bound = "finite" if f > 0 and E > 0 else "> 0"
-            raise UsageError(f"--{name}: need {name} > 0 and E = {name}^2 "
-                             f"{bound}, got {name} = {f!r}")
+            raise DomainError(f"--{name}: need {name} > 0 and E = {name}^2 "
+                              f"{bound}, got {name} = {f!r}")
         energies.append(E)
     return energies
 
@@ -255,14 +244,15 @@ def cmd_solve(args):
     _require(args, "f0", "f1", "out")
     _require_energy(args, "f0", "f1")
     if not (args.coarse == 0 or args.coarse >= 3):
-        raise UsageError("--coarse must be 0 (no presolve) or at least 3")
+        raise DomainError("--coarse must be 0 (no presolve) or at least 3")
     from .search import localize_minimum
     from .special import kernel_threads
 
     t_start = time.perf_counter()
     res = localize_minimum(_solver(args), (args.f0, args.f1),
                            coarse=args.coarse, **_given(args, c_est="cest"))
-    for f, msg in res.presolve_failures:
+    # every message in the log is a failed presolve sample
+    for f, msg in sorted(p for p in res.evaluations if isinstance(p[1], str)):
         print(f"solve: presolve failed at sqrtE={_fmt(f)}: {msg}", file=sys.stderr)
     wall = time.perf_counter() - t_start
     status = EXIT_OK
@@ -275,18 +265,18 @@ def cmd_solve(args):
         ("sqrtE", _fmt(res.sqrtE)),
         ("E", _fmt(res.E)),
         ("t_min", _fmt(res.t_min)),
-        ("t_classical", _fmt(res.t_classical)),
+        ("t_classical", _fmt(res.best.t_classical)),
         ("eps_new", _fmt(res.eps_new)),
         ("eps_clas", _fmt(res.eps_clas)),
         ("eps_new_rel", _fmt(res.eps_new / res.E)),
         ("eps_clas_rel", _fmt(res.eps_clas / res.E)),
         ("n_evals", str(res.n_evals)),
         ("n_presolve", str(res.n_presolve)),
-        ("n_evals_total", str(res.n_evals_total)),
+        ("n_evals_total", str(len(res.evaluations))),
         ("slope", _fmt(res.slope)),
         # inf (no second direction with interior mass) has no JSON number
-        ("t_second", _fmt(res.t_second) if res.t_second < float("inf")
-         else "null"),
+        ("t_second", _fmt(res.best.t_second)
+         if res.best.t_second < float("inf") else "null"),
         ("weyl_index", _fmt(res.weyl_index)),
         ("M", str(args.M)),
         ("N", str(args.N)),
@@ -372,7 +362,7 @@ def main(argv=None):
         args = _parse(build_parser(), argv)
         if args.threads is not None:
             if args.threads < 1:
-                raise UsageError("--threads must be >= 1")
+                raise DomainError("--threads must be >= 1")
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                         "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
                 os.environ[var] = str(args.threads)

@@ -1,12 +1,13 @@
 """Exception types raised by the solver layers.
 
 Every class derives from ``NeuspecError``.  The input errors,
-``InvalidCurveError`` and ``DomainError``, are also ``ValueError``s; the
-numerical failures are not.  That base class alone tells "you passed
-garbage" from "the computation degenerated": the CLI exits 2 (usage error)
-for a ``NeuspecError`` that is a ``ValueError`` and 3 (numerical failure)
-for any other, so a new input error must subclass both, and the library
-raises no bare ``ValueError``, which would end the CLI in a traceback.
+``DomainError`` and its subclass ``InvalidCurveError``, are also
+``ValueError``s; the numerical failures are not.  That base class alone
+tells "you passed garbage" from "the computation degenerated": the CLI
+exits 2 (usage error) for a ``NeuspecError`` that is a ``ValueError`` and 3
+(numerical failure) for any other, so a new input error must subclass
+``DomainError``, and the library raises no bare ``ValueError``, which would
+end the CLI in a traceback.
 A search that runs out of evaluations is an outcome, not an error: the
 search returns its best iterate marked unconverged.
 """
@@ -16,19 +17,18 @@ class NeuspecError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidCurveError(NeuspecError, ValueError):
-    """Radius function is non-positive somewhere, curve spec is malformed, or
-    a discretization parameter (M, N, tau, nx, filter scale) is out of range.
+class DomainError(NeuspecError, ValueError):
+    """An argument outside its supported range: an energy, a bracket, a
+    sample count, a flag or config line, a special-function argument or a
+    disc-suite bound.
 
     An input error: the ``ValueError`` base makes the CLI exit 2, not 3.
     """
 
 
-class DomainError(NeuspecError, ValueError):
-    """An argument outside its supported range: an energy, a bracket, a
-    sample count, a special-function argument or a disc-suite bound.
-
-    An input error: the ``ValueError`` base makes the CLI exit 2, not 3.
+class InvalidCurveError(DomainError):
+    """Radius function is non-positive somewhere, curve spec is malformed, or
+    a discretization parameter (M, N, tau, nx, filter scale) is out of range.
     """
 
 

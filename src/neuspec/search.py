@@ -8,7 +8,8 @@ neighbours.  ``sweep`` and ``localize_minimum`` search with a
 ``TensionSolver``, each of whose evaluations yields the weighted t_min and
 the classical t_clas of its minimizer from one assembled system; a search
 keeps one record per energy, the ``TensionEval`` or its failure message (a
-``str``).  Located minima convert to bounds on the distance from E to the
+``str``), and returns them as ``(sqrtE, record)`` pairs in the order they
+ran.  Located minima convert to bounds on the distance from E to the
 Neumann spectrum, in energy units:
 
     eps_new  = C_est * t_min          (C_est = 1.6)
@@ -62,7 +63,7 @@ import numpy as np
 from .assembly import SystemBuilder
 from .errors import DomainError, NeuspecError, NumericalError
 from .geometry import area, arclength_spectral
-from .tension import classical_tension, min_tension
+from .tension import TensionEval, classical_tension, min_tension
 
 TOL_DEFAULT = 1e-13
 C_EST_DEFAULT = 1.6
@@ -80,39 +81,30 @@ _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 class EigenResult:
     """One certified tension minimum.
 
-    ``t_min`` is the computed minimum tension rounded up by
-    ``T_ROUNDING_ULPS * u * E`` (module docstring), so it bounds the exact
-    tension at ``E``, and ``eps_new = c_est * t_min``.  ``alpha``,
-    ``t_classical``, ``t_second`` (small where the eigenvalue is degenerate)
-    and ``slope`` come from the computed tensions.  ``converged`` is False
-    when the search ran out of evaluations or ended on a bracket end, where
-    the bounds describe the end, not a dip.  ``presolve_failures`` lists the
-    (sqrtE, message) of failed presolve samples in grid order; ``n_presolve``
-    counts the grid samples evaluated, failed ones included, and
-    ``n_evals_total`` every energy evaluated.  ``t_second`` depends on the
-    BLAS thread count (three-lobe solve: 1.86 at one thread, 2.13 at two).
+    ``best`` is the ``TensionEval`` at ``E``.  ``t_min`` is its tension
+    rounded up by ``T_ROUNDING_ULPS * u * E`` (module docstring), so it
+    bounds the exact tension at ``E``, and ``eps_new = c_est * t_min``.
+    ``converged`` is False when the search ran out of evaluations or ended
+    on a bracket end, where the bounds describe the end, not a dip.
+    ``evaluations`` is the solve's log, one ``(sqrtE, record)`` pair per
+    energy evaluated in the order they ran, as ``sweep`` returns; a message
+    (a ``str``) in it is a failed presolve sample.  ``n_presolve`` counts
+    the grid samples evaluated, failed ones included, and ``n_evals`` the
+    search's, those it took from the presolve included.
     """
 
     sqrtE: float
     E: float
     t_min: float
-    t_classical: float
-    alpha: np.ndarray
+    best: TensionEval
     eps_new: float
     eps_clas: float
     n_evals: int
     weyl_index: float
     slope: float
-    t_second: float
-    converged: bool = True
-    presolve_failures: tuple = ()
-    n_presolve: int = 0
-    n_evals_total: int = 0
-
-    @property
-    def n_reused(self):
-        """The search samples taken from the presolve."""
-        return self.n_presolve + self.n_evals - self.n_evals_total
+    converged: bool
+    n_presolve: int
+    evaluations: tuple
 
 
 class TensionSolver:
@@ -310,12 +302,13 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
     presolve (module docstring) on a grid of ``coarse`` equispaced
     frequencies; ``coarse=0`` skips it, and the bracket should then contain
     exactly one local minimum (use a sweep to isolate one); 1, 2 and
-    negative values raise ``DomainError``, as do a ``c_est`` that is not
-    finite and positive and a non-finite sqrtE_hi^2, before any evaluation.
-    Presolve samples that fail numerically are listed in
-    ``presolve_failures`` (a search step onto one raises its message as
-    ``NumericalError``), input errors (each a ``ValueError``) propagate, and
-    all failing raises ``NumericalError``.  If the evaluation budget runs out, or the minimum
+    negative values raise ``DomainError`` before any evaluation, as do a
+    ``c_est`` that is not finite and positive, a non-finite sqrtE_hi^2 and a
+    bracket too narrow for ``coarse`` distinct grid energies.  A presolve
+    sample that fails numerically keeps its message in ``evaluations`` (a
+    search step onto one raises it as ``NumericalError``), input errors
+    (each a ``ValueError``) propagate, and all failing raises
+    ``NumericalError``.  If the evaluation budget runs out, or the minimum
     lands on a bracket end (the tension falls toward it, so the dip may lie
     outside), the best iterate is still returned, marked ``converged=False``.
     """
@@ -329,12 +322,13 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
     # every evaluation spent, by energy: its TensionEval or failure message
     memo = {}
     E_lo, E_hi = f_lo ** 2, f_hi ** 2
-    failures = []
     n_presolve = 0
     E_mid = None
     if coarse:
-        fs = np.linspace(f_lo, f_hi, coarse)
-        Es = fs * fs
+        Es = np.linspace(f_lo, f_hi, coarse) ** 2
+        if not np.all(np.diff(Es) > 0):
+            raise DomainError(f"bracket too narrow for a presolve grid of "
+                              f"{coarse} distinct energies")
         ts = np.full(coarse, np.inf)
 
         def sample(i):
@@ -349,12 +343,10 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
             for i in range(coarse):
                 sample(i)
         n_presolve = len(memo)
-        failures = [(float(f), memo[E]) for f, E in zip(fs, Es)
-                    if isinstance(memo.get(E), str)]
-        if len(failures) == n_presolve:
-            f, msg = failures[0]
-            raise NumericalError(f"presolve failed at every sample "
-                                 f"(first at sqrtE={f!r}: {msg})")
+        if all(isinstance(ev, str) for ev in memo.values()):
+            E = min(memo)
+            raise NumericalError(f"presolve failed at every sample (first at "
+                                 f"sqrtE={math.sqrt(E)!r}: {memo[E]})")
         best = min(max(int(np.argmin(ts)), 1), coarse - 2)
         E_lo, E_hi = Es[best - 1], Es[best + 1]
         # the grid minimum's own sample, unless it failed (clamped off an
@@ -386,10 +378,10 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
     eps_new, eps_clas = inclusion_bounds(E_star, t_bound, best.t_classical,
                                          c_est=c_est)
     return EigenResult(sqrtE=float(np.sqrt(E_star)), E=float(E_star),
-                       t_min=float(t_bound), t_classical=float(best.t_classical),
-                       alpha=best.alpha, eps_new=float(eps_new),
+                       t_min=float(t_bound), best=best, eps_new=float(eps_new),
                        eps_clas=float(eps_clas), n_evals=n_evals,
                        weyl_index=float(weyl_index(solver.curve, E_star)),
-                       slope=float(slope), t_second=best.t_second,
-                       converged=converged, presolve_failures=tuple(failures),
-                       n_presolve=n_presolve, n_evals_total=len(memo))
+                       slope=float(slope), converged=converged,
+                       n_presolve=n_presolve,
+                       evaluations=tuple((math.sqrt(E), ev)
+                                         for E, ev in memo.items()))

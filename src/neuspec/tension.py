@@ -80,7 +80,9 @@ class TensionEval:
     When the reported minimum c_min is degenerate the minimizing alpha is one
     arbitrary member of the minimizing subspace; ``t_second``, the
     second-smallest tension, is then small too.  It is inf when the trial
-    space has fewer than two directions or the second has no interior mass.
+    space has fewer than two directions or the second has no interior mass,
+    and it depends on the BLAS thread count (three-lobe solve: 1.86 at one
+    thread, 2.13 at two).
     ``t_classical`` is the classical tension of alpha and ``rank_H`` the
     kept rank of the interior-norm form H (the rows of B).  ``min_tension``
     sees neither E nor A_nor nor H and leaves ``E``, ``t_classical`` and

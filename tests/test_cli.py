@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from neuspec import cli
+from neuspec.errors import DomainError
 
 MU_30_1 = 32.534223556790142
 
@@ -65,7 +66,7 @@ class TestCurveParsing:
     def test_bad_trig_file(self, tmp_path, text, message):
         p = tmp_path / "c.txt"
         p.write_text(text)
-        with pytest.raises(cli.UsageError) as info:
+        with pytest.raises(DomainError) as info:
             cli.parse_curve(f"trig:{p}")
         assert str(info.value).startswith(message)
 
@@ -73,12 +74,12 @@ class TestCurveParsing:
     def test_unreadable_trig_file(self, tmp_path, name):
         # undecodable bytes ended in a UnicodeDecodeError traceback
         (tmp_path / "binary.txt").write_bytes(b"0 1 0\n\xff\xfe\n")
-        with pytest.raises(cli.UsageError, match="^cannot read trig file: "):
+        with pytest.raises(DomainError, match="^cannot read trig file: "):
             cli.parse_curve(f"trig:{tmp_path / name}")
 
     def test_repeated_radial_field(self):
         # the last value silently won
-        with pytest.raises(cli.UsageError, match="repeated key 'a0'"):
+        with pytest.raises(DomainError, match="repeated key 'a0'"):
             cli.parse_curve("radial:a0=1,eps=0.3,k=3,b=0.2,a0=2")
 
     @pytest.mark.parametrize("spec", [
@@ -89,7 +90,7 @@ class TestCurveParsing:
         "radial:a0=1,eps=1.5,k=3,b=0.2",  # negative radius
     ])
     def test_bad_specs(self, spec):
-        with pytest.raises(cli.UsageError):
+        with pytest.raises(DomainError):
             cli.parse_curve(spec)
 
 
@@ -250,6 +251,17 @@ class TestSolveCommand:
         assert doc["converged"] is True
         assert doc["n_presolve"] == 11
 
+    def test_narrow_bracket_exit2(self, tmp_path, capsys):
+        # five frequencies in a bracket one ulp wide repeat an energy
+        rc = run(["solve", "--curve", DISC, "--f0", "3.81",
+                  "--f1", cli._fmt(3.81 + np.spacing(3.81)), "--M", "64",
+                  "--N", "32", "--tau", "0.1", "--coarse", "5",
+                  "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "solve: bracket too narrow for a presolve grid of 5 distinct "
+            "energies\n")
+
     def test_malformed_curve_exit2(self, tmp_path):
         rc = run(["solve", "--curve", "radial:bogus", "--f0", "3", "--f1", "4",
                   "--M", "64", "--N", "32", "--tau", "0.1",
@@ -375,10 +387,11 @@ class TestLibraryDefaults:
         doc = json.loads(out.read_text())
         res = localize_minimum(TensionSolver(disc, 64, 32, 0.1), (3.81, 3.84),
                                coarse=21)
-        for key in ("sqrtE", "E", "t_min", "t_classical", "eps_new",
-                    "eps_clas", "n_evals", "n_presolve", "slope", "t_second",
-                    "weyl_index"):
+        for key in ("sqrtE", "E", "t_min", "eps_new", "eps_clas", "n_evals",
+                    "n_presolve", "slope", "weyl_index"):
             assert doc[key] == getattr(res, key), key
+        for key in ("t_classical", "t_second"):
+            assert doc[key] == getattr(res.best, key), key
 
     def test_sweep(self, tmp_path, disc):
         from neuspec import TensionSolver, sweep

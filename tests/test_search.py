@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -12,8 +13,22 @@ from neuspec import (EigenResult, SystemBuilder, TensionSolver,
                      jnprime_zero, jnprime_zeros_upto, localize_minimum,
                      parabolic_min, sweep, weyl_index)
 from neuspec.errors import DomainError, NumericalError, RankCollapseError
+from neuspec.tension import TensionEval
 
 MU_30_1 = 32.534223556790142
+
+
+def _failures(res):
+    """The (sqrtE, message) of the failed samples in ``res``'s log, in grid
+    order."""
+    return sorted(p for p in res.evaluations if isinstance(p[1], str))
+
+
+def _counts(res):
+    """(grid samples, search evaluations, search samples taken from the
+    presolve, energies evaluated) of ``res``."""
+    n = len(res.evaluations)
+    return res.n_presolve, res.n_evals, res.n_presolve + res.n_evals - n, n
 
 
 class TestParabolicMin:
@@ -231,7 +246,7 @@ class TestPresolve:
                                (32.4, 32.6), coarse=21)
         assert res.converged
         assert abs(res.sqrtE - MU_30_1) < 1e-10
-        assert res.presolve_failures == ()
+        assert _failures(res) == []
 
     def test_bracketing_samples_reused(self, disc, monkeypatch):
         energies = []
@@ -248,9 +263,9 @@ class TestPresolve:
         assert len(energies) == len(set(energies))
         # the presolve samples and the search's own minus the three reused:
         # the two ends and the grid minimum; the slope reuses a search sample
-        assert res.n_reused == 3
+        assert _counts(res)[2] == 3
         assert len(energies) == res.n_presolve + res.n_evals - 3
-        assert len(energies) == res.n_evals_total
+        assert len(energies) == len(res.evaluations)
 
     def test_search_starts_from_grid_minimum(self, disc, monkeypatch):
         # the search's middle sample is the presolve's smallest, not a new
@@ -291,13 +306,12 @@ class TestPresolve:
                 return solver.evaluate(E)
 
         res = localize_minimum(FailsAtPoint1(), (3.835, 3.95), coarse=11)
-        assert [f for f, _ in res.presolve_failures] == [fs[1]]
+        assert [f for f, _ in _failures(res)] == [fs[1]]
         assert res.n_presolve == 11
         # the midpoint of points 0 and 2 is evaluated in the middle's place
         assert calls[11] == 0.5 * (fs[0] ** 2 + fs[2] ** 2)
-        assert res.n_reused == 2
-        assert len(calls) == res.n_evals_total
-        assert res.n_evals_total == res.n_presolve + res.n_evals - 2
+        assert _counts(res)[2] == 2
+        assert len(calls) == len(res.evaluations)
 
     @pytest.mark.parametrize("coarse", [1, 2, -1])
     def test_coarse_without_grid_middle_raises(self, disc, coarse):
@@ -310,6 +324,29 @@ class TestPresolve:
         with pytest.raises(ValueError, match="coarse"):
             localize_minimum(Counted(), (3.81, 3.84), coarse=coarse)
         assert calls == []
+
+    # brackets some ulps of sqrtE = 3.81 wide: a grid of more points than
+    # the bracket has ulps repeats a frequency, and so an energy
+    @pytest.mark.parametrize("ulps, coarse", [(1, 5), (1, 21), (8, 21),
+                                              (15, 21), (19, 21)])
+    def test_narrow_bracket_rejected_before_evaluating(self, disc, ulps,
+                                                       coarse):
+        stub = _Stub(disc, lambda E: abs(E - 3.81 ** 2))
+        f_hi = 3.81 + ulps * np.spacing(3.81)
+        with pytest.raises(DomainError, match=(
+                f"^bracket too narrow for a presolve grid of {coarse} "
+                f"distinct energies$")):
+            localize_minimum(stub, (3.81, f_hi), coarse=coarse)
+        assert stub.calls == []
+
+    def test_narrowest_bracket_of_distinct_energies_solves(self, disc):
+        # 20 ulps hold 21 distinct frequencies; each squares to its own E
+        ulp = np.spacing(3.81)
+        stub = _Stub(disc, lambda E: abs(E - (3.81 + 10 * ulp) ** 2))
+        bracket = (3.81, 3.81 + 20 * ulp)
+        res = localize_minimum(stub, bracket, coarse=21)
+        assert bracket[0] < res.sqrtE < bracket[1]
+        stub.check_log(res, bracket, 21)
 
     def test_failed_samples_listed_or_raised(self, disc):
         solver = TensionSolver(disc, 64, 32, 0.1)
@@ -327,8 +364,7 @@ class TestPresolve:
 
         res = localize_minimum(Flaky(3.75 ** 2), (3.7, 3.95), coarse=11)
         assert res.converged
-        assert [f for f, _ in res.presolve_failures] == [3.7, 3.725]
-        assert all(msg == "injected" for _, msg in res.presolve_failures)
+        assert _failures(res) == [(3.7, "injected"), (3.725, "injected")]
         with pytest.raises(NumericalError, match="every sample"):
             localize_minimum(Flaky(np.inf), (3.7, 3.95), coarse=11)
 
@@ -348,9 +384,13 @@ class TestPresolve:
         oracle = localize_minimum(solver, bracket, coarse=21)
         assert oracle.n_presolve == 21
         # the walk spends fewer evaluations, the search reuses as many
-        assert res.n_reused == oracle.n_reused
+        assert _counts(res)[2] == _counts(oracle)[2]
         for field in dataclasses.fields(EigenResult):
-            if field.name not in ("n_presolve", "n_evals_total"):
+            if field.name == "best":
+                for f in dataclasses.fields(TensionEval):
+                    assert np.array_equal(getattr(res.best, f.name),
+                                          getattr(oracle.best, f.name)), f.name
+            elif field.name not in ("n_presolve", "evaluations"):
                 assert np.array_equal(getattr(res, field.name),
                                       getattr(oracle, field.name)), field.name
 
@@ -382,7 +422,7 @@ class TestPresolve:
         assert res.n_presolve == 11
         # the upper end fails first, yet the failures are listed in grid order
         grid = np.linspace(3.7, 3.95, 11)
-        assert [f for f, _ in res.presolve_failures] == list(grid[9:])
+        assert [f for f, _ in _failures(res)] == list(grid[9:])
 
     def test_three_lobe_walk_budget(self, wobbly, monkeypatch):
         calls = []
@@ -396,24 +436,38 @@ class TestPresolve:
         res = localize_minimum(TensionSolver(wobbly, 700, 350, 0.025),
                                (40.50, 40.55), coarse=21)
         assert res.converged
-        assert len(calls) == res.n_evals_total == 8
+        assert len(calls) == len(res.evaluations) == 8
         assert res.sqrtE == pytest.approx(40.53011549421898, rel=1e-12)
 
 
 class _Stub:
     """A solver whose minimum tension at E is ``t(E)``, failing numerically
-    where ``t`` returns None; ``calls`` lists the energies evaluated."""
+    where ``t`` returns None; ``calls`` lists the energies evaluated and
+    ``records`` what each returned, or the message it raised."""
 
     def __init__(self, curve, t):
-        self.curve, self.t, self.calls = curve, t, []
+        self.curve, self.t, self.calls, self.records = curve, t, [], []
 
     def evaluate(self, E):
         self.calls.append(E)
         t = self.t(E)
         if t is None:
+            self.records.append("injected")
             raise RankCollapseError("injected")
-        return SimpleNamespace(t_min=t, t_classical=t, alpha=np.ones(1),
-                               t_second=1.0)
+        self.records.append(SimpleNamespace(t_min=t, t_classical=t,
+                                            alpha=np.ones(1), t_second=1.0))
+        return self.records[-1]
+
+    def check_log(self, res, bracket, coarse):
+        """``res.evaluations`` lists every call once, in call order, with
+        the object it returned, and its grid samples at the frequencies of
+        ``np.linspace`` bit for bit."""
+        assert [f for f, _ in res.evaluations] == list(map(math.sqrt,
+                                                           self.calls))
+        for (_, ev), rec in zip(res.evaluations, self.records, strict=True):
+            assert ev == rec if isinstance(rec, str) else ev is rec
+        grid = np.linspace(*bracket, coarse).tolist()
+        assert all(f in grid for f, _ in res.evaluations[:res.n_presolve])
 
 
 class TestSearchBranches:
@@ -435,9 +489,9 @@ class TestSearchBranches:
         res = localize_minimum(stub, (3.0, 4.0), coarse=11)
         assert not res.converged
         # the symmetric V passes the walk's check after 5 samples
-        assert (res.n_presolve, res.n_evals, res.n_reused,
-                res.n_evals_total) == (5, 4, 3, 6)
+        assert _counts(res) == (5, 4, 3, 6)
         assert len(stub.calls) == len(set(stub.calls)) == 6
+        stub.check_log(res, (3.0, 4.0), 11)
 
     def test_left_walk(self, disc):
         stub = _Stub(disc, self.STEEP_LEFT)
@@ -449,9 +503,9 @@ class TestSearchBranches:
             0, 10, 6, 7, 8, 5, 4, 3, 2, 1, 9]
         assert res.converged
         assert res.E == pytest.approx(10.5, rel=1e-13)
-        assert (res.n_presolve, res.n_evals, res.n_reused,
-                res.n_evals_total) == (11, 4, 3, 12)
+        assert _counts(res) == (11, 4, 3, 12)
         assert len(stub.calls) == len(set(stub.calls)) == 12
+        stub.check_log(res, (3.0, 4.0), 11)
 
     def test_failed_walk_sample(self, disc):
         Es = list(self.FS ** 2)
@@ -462,11 +516,11 @@ class TestSearchBranches:
         # follows, and point 5 is not evaluated again
         assert [Es.index(E) for E in stub.calls[:11]] == [
             0, 10, 6, 7, 8, 5, 1, 2, 3, 4, 9]
-        assert res.presolve_failures == ((self.FS[5], "injected"),)
+        assert _failures(res) == [(self.FS[5], "injected")]
         assert res.converged
-        assert (res.n_presolve, res.n_evals, res.n_reused,
-                res.n_evals_total) == (11, 4, 3, 12)
+        assert _counts(res) == (11, 4, 3, 12)
         assert len(stub.calls) == len(set(stub.calls)) == 12
+        stub.check_log(res, (3.0, 4.0), 11)
 
     def test_golden_fallback_on_flat_tension(self, disc):
         # a grid two ulps of sqrt(E) wide: E = 4 + (0, 2, 4) ulp(4).  A flat
@@ -479,8 +533,8 @@ class TestSearchBranches:
             0, 4, 2, 3, 1]
         # the first of the equal samples, the lower end, is the minimum
         assert res.E == 4.0 and not res.converged
-        assert (res.n_presolve, res.n_evals, res.n_reused,
-                res.n_evals_total) == (3, 5, 3, 5)
+        assert _counts(res) == (3, 5, 3, 5)
+        stub.check_log(res, (2.0, float(f_hi)), 3)
 
     def test_failed_bracket_end_not_evaluated_again(self, disc):
         # the grid minimum, point 3, sits next to the failed point 4, an
