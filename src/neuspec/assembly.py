@@ -47,8 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .errors import (DegenerateNormError, DomainError, InvalidCurveError,
-                     SingularKernelError)
+from .errors import DomainError, NumericalError
 from .geometry import build_grid, charge_points, mirror_fold, mirror_unfold
 from .special import bessel_y0, bessel_y1, kernel_threads
 from .weights import build_filter_matrix
@@ -75,12 +74,12 @@ def interior_norm_matrix(grid, A_val, A_nor, A_tan, A_dil, E):
     """Quadratic form H with alpha^T H alpha ~= ||u||^2_{L2(Omega)} for
     u = sum alpha_n phi_n.  Valid because every basis column solves the
     Helmholtz equation at energy E inside the domain, which must be
-    star-shaped about the origin: x.n > 0 at every node, else
-    ``InvalidCurveError``."""
+    star-shaped about the origin: x.n > 0 at every node, else a
+    ``DomainError``."""
     xn = np.einsum("md,md->m", grid.x, grid.nrm)
     if not np.all(xn > 0):
-        raise InvalidCurveError("the Rellich form needs x.n > 0 at every "
-                                "boundary node (star-shaped about the origin)")
+        raise DomainError("the Rellich form needs x.n > 0 at every "
+                          "boundary node (star-shaped about the origin)")
     xn = xn[:, None]
     X = A_dil.T @ A_nor
     H = (E * (A_val * xn).T @ A_val
@@ -106,7 +105,7 @@ def sqrt_factor(H, classes=(0,)):
     eig = [np.linalg.eigh(mirror_fold(H, parity)) for parity in classes]
     top = max(lam[-1] for lam, _ in eig)
     if top <= 0:
-        raise DegenerateNormError("interior-norm matrix has no positive eigenvalue")
+        raise NumericalError("interior-norm matrix has no positive eigenvalue")
     columns, basis = [], []
     for parity, (lam, V) in zip(classes, eig):
         rank = int((lam >= EPS_H * top).sum())
@@ -371,13 +370,13 @@ class SystemBuilder:
     The tables (``_dist`` = |x_m - y_n|, and (x_m - y_n) . v_m over it for
     v the normal, the tangent and x) and the traces fill in place, each
     worker its own rows (``_row_blocks``); a node within 1e-12 of a charge
-    raises ``SingularKernelError`` before any 1/d is formed."""
+    raises ``NumericalError`` before any 1/d is formed."""
 
     def __init__(self, curve, M, N, tau):
         if M % 4:
-            raise InvalidCurveError("M must be divisible by 4")
+            raise DomainError("M must be divisible by 4")
         if N > M:
-            raise InvalidCurveError("N must not exceed M")
+            raise DomainError("N must not exceed M")
         self.grid = build_grid(curve, M)
         self.charges = charge_points(curve, N, tau)
         # parities of the classes; with N <= 2 every charge is its own mirror
@@ -395,7 +394,7 @@ class SystemBuilder:
             np.add(np.square(dx, out=d), np.square(dy, out=tmp), out=d)
             np.sqrt(d, out=d)
             if d.min() < 1e-12:
-                raise SingularKernelError("a node and a charge nearly coincide")
+                raise NumericalError("a node and a charge nearly coincide")
             np.divide(1.0, d, out=inv)
             for proj, v in zip(tables[1:], (self.grid.nrm, self.grid.tng,
                                             self.grid.x)):
@@ -436,8 +435,12 @@ class SystemBuilder:
         return A_val, A_nor, A_tan, A_dil
 
     def system(self, E):
-        """The TensionSystem at energy E.  The low-rank filter, H and the other
-        three traces are freed on return."""
+        """The TensionSystem at energy E >= 1 (the filter scale 1/sqrtE is at
+        most 1).  The low-rank filter, H and the other three traces are freed
+        on return."""
+        if 0 < E < 1:
+            raise DomainError(f"sqrtE must be at least 1 (filter scale h = "
+                              f"1/sqrtE), got {float(np.sqrt(E))!r}")
         A_val, A_nor, A_tan, A_dil = self.traces(E)
         A_w = build_filter_matrix(self.grid, 1.0 / np.sqrt(E)) @ A_nor
         H = interior_norm_matrix(self.grid, A_val, A_nor, A_tan, A_dil, E)

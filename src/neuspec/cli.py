@@ -7,11 +7,10 @@ exact unit-disc identity suite, CSV report).
 
 Exit codes: 0 success, 1 validation failure (disc-check), 2 usage error,
 3 numerical failure.  ``main`` maps every error to one of the last two by
-one rule: bad input, a ``NeuspecError`` that is also a ``ValueError`` or an
-``OSError`` on a path, exits 2, any other ``NeuspecError`` (the computation
-degenerated) exits 3; both print one line ``<command>: <message>``.  All
-numeric output carries 17 significant digits so a reparse reproduces the
-binary values exactly.
+its type: a ``DomainError`` or an ``OSError`` on a path exits 2, a
+``NumericalError`` (the computation degenerated) exits 3; both print one
+line ``<command>: <message>``.  All numeric output carries 17 significant
+digits so a reparse reproduces the binary values exactly.
 
 Heavy imports are deferred until after ``--threads`` has been applied to the
 BLAS environment variables, so thread pinning works when the CLI owns the
@@ -371,7 +370,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code else EXIT_OK
     except (OSError, NeuspecError) as exc:
         print(f"{argv[0]}: {exc}", file=sys.stderr)
-        bad_input = isinstance(exc, (OSError, ValueError))
+        bad_input = isinstance(exc, (OSError, DomainError))
         return EXIT_USAGE if bad_input else EXIT_NUMERICAL
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, IncompleteEnumerationError
-from .special import (_N_MAX, bessel_jn, bessel_jn_prime, jnprime_zeros,
-                      jnprime_zeros_upto)
+from .errors import DomainError, NumericalError
+from .special import (_L_MAX, _N_MAX, bessel_jn, bessel_jn_prime,
+                      jnprime_zeros, jnprime_zeros_upto)
 from .weights import g_weight
 
 
@@ -57,7 +57,7 @@ def disc_modes_in_window(freq_lo, freq_hi):
         if n >= 1 and n >= freq_hi:
             break  # first zero exceeds n, hence the window
         if n > _N_MAX:
-            raise IncompleteEnumerationError(
+            raise NumericalError(
                 f"order cap {_N_MAX} reached with window [{freq_lo}, {freq_hi}] unfinished"
             )
         zeros = jnprime_zeros_upto(n, freq_hi)
@@ -158,11 +158,16 @@ def identity_checks(nmax=60, lmax=5):
     ratio law ("v_ratio") and, inside the square-root regime, its weighted
     form ("v_ratio_2").  Then the quasi-orthogonality frame norm in unit
     windows at frequencies 20, 40 and 80 ("quasi_orth", within [0.3, 6]) and
-    their largest ratio ("quasi_orth_spread", below 2).  ``nmax < 0``
-    raises ``DomainError``: it would leave only the quasi-orthogonality rows.
+    their largest ratio ("quasi_orth_spread", below 2).  ``nmax`` outside
+    [0, 200] or ``lmax`` outside [1, 100] raises ``DomainError`` before any
+    work; ``nmax < 0`` would leave only the quasi-orthogonality rows.
     """
     if nmax < 0:
         raise DomainError("nmax must be >= 0")
+    if nmax > _N_MAX:
+        raise DomainError(f"nmax must be <= {_N_MAX}")
+    if not 1 <= lmax <= _L_MAX:
+        raise DomainError(f"lmax must be in [1, {_L_MAX}]")
     rows = []
     sqrt2 = np.sqrt(2.0)
     for n in range(nmax + 1):

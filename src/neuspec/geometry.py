@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ChargePlacementError, InvalidCurveError
+from .errors import DomainError, NumericalError
 
 _VALIDATION_SAMPLES = 4096
 _SQRT_HALF = np.sqrt(0.5)
@@ -52,7 +52,7 @@ class RadialCurve:
         """r(theta) = a0 + eps*cos(k*(theta + b*sin(theta))), k a positive int."""
         k = int(k)
         if k < 1:
-            raise InvalidCurveError("k must be a positive integer")
+            raise DomainError("k must be a positive integer")
         return cls("radial", (float(a0), float(eps), k, float(b)))
 
     @classmethod
@@ -65,7 +65,7 @@ class RadialCurve:
         c = np.atleast_1d(np.asarray(cos_coeffs, dtype=float))
         d = np.atleast_1d(np.asarray(sin_coeffs, dtype=float)) if len(sin_coeffs) else np.zeros(0)
         if c.size == 0:
-            raise InvalidCurveError("need at least the constant cosine coefficient")
+            raise DomainError("need at least the constant cosine coefficient")
         return cls("trig", (c, d))
 
     @classmethod
@@ -125,7 +125,7 @@ class RadialCurve:
         th = 2 * np.pi * np.arange(_VALIDATION_SAMPLES) / _VALIDATION_SAMPLES
         r = self.radius(th)
         if not np.all(np.isfinite(r)) or np.min(r) <= 0.0:
-            raise InvalidCurveError(
+            raise DomainError(
                 f"radius must be positive; min sampled value {np.min(r):g}"
             )
 
@@ -203,7 +203,7 @@ def arclength_spectral(curve, M):
     Returns (s, L).
     """
     if M % 2:
-        raise InvalidCurveError("M must be even")
+        raise DomainError("M must be even")
     t = 2 * np.pi * np.arange(M) / M
     speed = np.abs(curve.velocity(t))
     c = np.fft.fft(speed) / M
@@ -220,10 +220,10 @@ def build_grid(curve, M):
     """Periodic trapezoid grid with nodes x(2pi m / M), m = 0..M-1."""
     M = int(M)
     if M < 8 or M % 2:
-        raise InvalidCurveError("M must be an even integer >= 8")
+        raise DomainError("M must be an even integer >= 8")
     t = 2 * np.pi * np.arange(M) / M
     if np.min(curve.radius(t)) <= 0:
-        raise InvalidCurveError("non-positive radius sample")
+        raise DomainError("non-positive radius sample")
     z = curve.position(t)
     zp = curve.velocity(t)
     speed = np.abs(zp)
@@ -245,9 +245,9 @@ def charge_points(curve, N, tau):
     """
     N = int(N)
     if N < 1:
-        raise InvalidCurveError("N must be positive")
+        raise DomainError("N must be positive")
     if not tau > 0:
-        raise InvalidCurveError("tau must be positive")
+        raise DomainError("tau must be positive")
     theta = 2 * np.pi * (np.arange(N) / N - 1j * tau)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow for absurd tau is caught by the finiteness check below
@@ -260,7 +260,9 @@ def charge_points(curve, N, tau):
             np.arctan2(y[:, 1], y[:, 0]))
     bad = np.flatnonzero(~(exterior & np.isfinite(y).all(axis=1)))
     if bad.size:
-        raise ChargePlacementError(int(bad[0]), y[bad[0]])
+        i = int(bad[0])
+        raise NumericalError(f"charge point {i} at {tuple(map(float, y[i]))} "
+                             "is not strictly exterior")
     return ChargeSet(N=N, y=y)
 
 
@@ -319,7 +321,7 @@ def interior_grid(curve, nx):
     the box is the min/max of 1024 nodes with no padding."""
     nx = int(nx)
     if nx < 2:
-        raise InvalidCurveError("nx must be >= 2")
+        raise DomainError("nx must be >= 2")
     t = 2 * np.pi * np.arange(1024) / 1024
     z = curve.position(t)
     xs = np.linspace(z.real.min(), z.real.max(), nx)

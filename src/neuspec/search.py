@@ -61,7 +61,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import SystemBuilder
-from .errors import DomainError, NeuspecError, NumericalError
+from .errors import DomainError, NumericalError
 from .geometry import area, arclength_spectral
 from .tension import TensionEval, classical_tension, min_tension
 
@@ -136,13 +136,10 @@ class TensionSolver:
 
 def _attempt(solver, E):
     """The evaluation at energy E, or the message (a ``str``) of its
-    numerical failure.  An input error, a ``NeuspecError`` that is also a
-    ``ValueError``, propagates."""
+    ``NumericalError``; a ``DomainError`` propagates."""
     try:
         return solver.evaluate(E)
-    except NeuspecError as exc:
-        if isinstance(exc, ValueError):
-            raise
+    except NumericalError as exc:
         return str(exc)
 
 
@@ -150,8 +147,8 @@ def sweep(solver, sqrtE_min, sqrtE_max, steps):
     """Minimum tension of ``solver`` at ``steps`` equispaced frequencies.
 
     Returns one ``(sqrtE, record)`` pair per frequency, the record being the
-    ``TensionEval`` or the message (a ``str``) of a numerical failure at
-    that energy; an input error (a ``ValueError``) aborts the sweep.
+    ``TensionEval`` or the message (a ``str``) of a ``NumericalError`` at
+    that energy; a ``DomainError`` aborts the sweep.
     """
     if steps < 2:
         raise DomainError("steps must be >= 2")
@@ -305,12 +302,12 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
     negative values raise ``DomainError`` before any evaluation, as do a
     ``c_est`` that is not finite and positive, a non-finite sqrtE_hi^2 and a
     bracket too narrow for ``coarse`` distinct grid energies.  A presolve
-    sample that fails numerically keeps its message in ``evaluations`` (a
-    search step onto one raises it as ``NumericalError``), input errors
-    (each a ``ValueError``) propagate, and all failing raises
-    ``NumericalError``.  If the evaluation budget runs out, or the minimum
-    lands on a bracket end (the tension falls toward it, so the dip may lie
-    outside), the best iterate is still returned, marked ``converged=False``.
+    sample that raises ``NumericalError`` keeps its message in
+    ``evaluations`` (a search step onto one raises it again), a
+    ``DomainError`` propagates, and all failing raises ``NumericalError``.
+    If the evaluation budget runs out, or the minimum lands on a bracket end
+    (the tension falls toward it, so the dip may lie outside), the best
+    iterate is still returned, marked ``converged=False``.
     """
     f_lo, f_hi = bracket
     if not 0 < f_lo < f_hi <= _SQRTE_MAX:

@@ -67,7 +67,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrcon
 
 from .assembly import checked_alpha
-from .errors import DomainError, NoInteriorMassError, RankCollapseError
+from .errors import DomainError, NumericalError
 from .geometry import mirror_fold, mirror_unfold
 
 EPS = 1e-14
@@ -113,7 +113,7 @@ def min_tension(A_w, B, basis=None):
     if A_w.shape[1] != B.shape[1]:
         raise DomainError("A_w and B must share their column count")
     if not B.size:
-        raise NoInteriorMassError("the interior-norm factor has no rows")
+        raise NumericalError("the interior-norm factor has no rows")
     if basis is None:
         # B^T = Q R: B Q = R^T, whose columns past min(B.shape) are zero
         Q, R = np.linalg.qr(B.T, mode="complete")
@@ -127,7 +127,7 @@ def min_tension(A_w, B, basis=None):
     (c, alpha, _), others = parts[0], parts[1:]
     c_min = float(c[-1])
     if c_min >= 1.0 - 1e-14:
-        raise NoInteriorMassError(
+        raise NumericalError(
             "trial space numerically annihilated by the interior-norm factor"
         )
     t_min = c_min / np.sqrt(1.0 - c_min * c_min)
@@ -138,7 +138,7 @@ def min_tension(A_w, B, basis=None):
     t_second = c_2 / np.sqrt(1.0 - c_2 * c_2) if c_2 < 1.0 else float("inf")
     bnorm = np.linalg.norm(B @ alpha)
     if bnorm == 0.0:
-        raise NoInteriorMassError("minimizer has zero interior norm")
+        raise NumericalError("minimizer has zero interior norm")
     alpha = alpha / bnorm
     return TensionEval(E=float("nan"), t_min=float(t_min), alpha=alpha,
                        rank_eps=sum(part[2] for part in parts), c_min=c_min,
@@ -164,7 +164,7 @@ def _rotated_min(A_w, V, D):
         Ur, sig, Xt = np.linalg.svd(T)
         r_eps = int((sig >= EPS * sig[0]).sum()) if sig[0] > 0 else 0
         if r_eps == 0:
-            raise RankCollapseError("numerical rank zero at cutoff EPS")
+            raise NumericalError("numerical rank zero at cutoff EPS")
         # the kept basis is the QR path's times Ur: Q_A's SVD on W, the row
         # space of its B rows
         Ur = Ur[:, :r_eps]
@@ -181,5 +181,5 @@ def classical_tension(alpha, A, B):
     alpha = checked_alpha(alpha, A.shape[1])
     bnorm = np.linalg.norm(B @ alpha)
     if bnorm == 0.0:
-        raise NoInteriorMassError("coefficient vector has zero interior norm")
+        raise NumericalError("coefficient vector has zero interior norm")
     return float(np.linalg.norm(A @ alpha) / bnorm)

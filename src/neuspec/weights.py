@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCurveError
+from .errors import DomainError
 
 # Gauss-Legendre rule for the bump integral; the integrand is C-infinity with
 # all derivatives vanishing at the endpoints, so 200 nodes is far beyond
@@ -74,7 +74,7 @@ def g_weight(sigma, h):
     sigma <= h^{2/3} (in particular for all sigma <= 0).
     """
     if not 0 < h <= 1:
-        raise InvalidCurveError("h must lie in (0, 1]")
+        raise DomainError("h must lie in (0, 1]")
     sigma = np.asarray(sigma, dtype=float)
     t = sigma / h ** (2.0 / 3.0)
     c1 = np.sin(0.5 * np.pi * smooth_step(t - 1.0))
@@ -87,7 +87,7 @@ def f_weight(sigma, h):
     """Inverse spectral weight 1 / max(sigma_+^{1/2}, h^{1/3}), in [1, h^{-1/3}]
     for sigma <= 1."""
     if not 0 < h <= 1:
-        raise InvalidCurveError("h must lie in (0, 1]")
+        raise DomainError("h must lie in (0, 1]")
     sigma = np.asarray(sigma, dtype=float)
     out = 1.0 / np.maximum(np.sqrt(np.maximum(sigma, 0.0)), h ** (1.0 / 3.0))
     return float(out) if out.ndim == 0 else out
@@ -144,11 +144,10 @@ def build_filter_matrix(grid, h):
     h^{-1/3} I.  Only the frequencies in the symbol's support
     1 - xi^2 > h^{2/3}, |n| <= n_k, differ from h^{-1/3}; the K = 2 n_k + 1
     real columns spanning them are kept, at a cost of O(MK).  The analysis
-    weights are w_m / L.  Raises ``InvalidCurveError`` unless M is divisible
-    by 4.
+    weights are w_m / L.  Raises ``DomainError`` unless M is divisible by 4.
     """
     if grid.M % 4:
-        raise InvalidCurveError("grid size must be divisible by 4")
+        raise DomainError("grid size must be divisible by 4")
     n = np.arange(grid.M // 4 + 1)
     sigma = 1.0 - (2 * np.pi * n * h / grid.L) ** 2
     shift = h ** (-1.0 / 3.0)

@@ -12,8 +12,7 @@ from neuspec import (ChargeSet, InteriorGrid, RadialCurve, SystemBuilder,
                      TensionSolver, build_filter_matrix, build_grid,
                      charge_points, interior_grid, interior_norm_matrix,
                      jnprime_zero, point_source_sum, raster_sum, sqrt_factor)
-from neuspec.errors import (DegenerateNormError, DomainError,
-                            InvalidCurveError, SingularKernelError)
+from neuspec.errors import DomainError, NumericalError
 from neuspec.special import bessel_y0, bessel_y1
 
 
@@ -144,7 +143,7 @@ class TestBasisMatrices:
             before = threading.active_count()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(SingularKernelError):
+                with pytest.raises(NumericalError, match="nearly coincide"):
                     SystemBuilder(disc, 16, 1, 0.1)
             assert threading.active_count() == before
 
@@ -191,7 +190,7 @@ class TestInteriorNormMatrix:
         # boundary weight would change sign, so the form is refused
         b = SystemBuilder(wobbly, 64, 16, 0.03)
         inward = replace(b.grid, nrm=-b.grid.nrm)
-        with pytest.raises(InvalidCurveError):
+        with pytest.raises(DomainError, match="needs x.n > 0 at every"):
             interior_norm_matrix(inward, *b.traces(4.0), 4.0)
 
 class TestSqrtFactor:
@@ -231,7 +230,7 @@ class TestSqrtFactor:
         assert np.abs(BY.T @ BY - D.T @ D).max() < 1e-13 * scale ** 2
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateNormError):
+        with pytest.raises(NumericalError, match="no positive eigenvalue"):
             sqrt_factor(-np.eye(3))
 
 
@@ -270,10 +269,10 @@ class TestAssembleSystem:
         assert err <= 1e-12 * lam1 * H.shape[0]
 
     def test_parameter_validation(self, disc):
-        with pytest.raises(InvalidCurveError):
-            SystemBuilder(disc, 66, 16, 0.1)   # M not divisible by 4
-        with pytest.raises(InvalidCurveError):
-            SystemBuilder(disc, 64, 128, 0.1)  # N > M
+        with pytest.raises(DomainError, match="M must be divisible by 4"):
+            SystemBuilder(disc, 66, 16, 0.1)
+        with pytest.raises(DomainError, match="N must not exceed M"):
+            SystemBuilder(disc, 64, 128, 0.1)
 
     @pytest.mark.parametrize("E", [np.inf, np.nan, 0.0])
     def test_energy_not_finite_and_positive_rejected(self, disc, E):
@@ -282,6 +281,13 @@ class TestAssembleSystem:
         for build in (b.traces, b.system):
             with pytest.raises(DomainError, match="E must be finite"):
                 build(E)
+
+    def test_frequency_below_one_rejected(self, disc):
+        # the filter scale h = 1/sqrtE must not exceed 1; sqrtE = 1 is fine
+        b = SystemBuilder(disc, 64, 16, 0.1)
+        with pytest.raises(DomainError, match="sqrtE must be at least 1"):
+            b.system(np.nextafter(1.0, 0.0))
+        assert b.system(1.0).B.size
 
 
 def point_source_sum_blocks(charges, alpha, E, points):

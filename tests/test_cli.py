@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -153,7 +154,7 @@ class TestSweepFailures:
 
     def fail_at(self, monkeypatch, samples):
         """Have the evaluation raise at the frequencies of ``samples``."""
-        from neuspec.errors import RankCollapseError
+        from neuspec.errors import NumericalError
         from neuspec.search import TensionSolver
 
         energies = {f * f for f in self.FREQS[samples]}
@@ -161,7 +162,7 @@ class TestSweepFailures:
 
         def evaluate(solver, E):
             if E in energies:
-                raise RankCollapseError("stack has rank zero")
+                raise NumericalError("injected")
             return real(solver, E)
 
         monkeypatch.setattr(TensionSolver, "evaluate", evaluate)
@@ -173,8 +174,8 @@ class TestSweepFailures:
         out = tmp_path / "sweep.csv"
         assert run(self.ARGS + ["--out", str(out)]) == 0
         assert capsys.readouterr().err == "".join(
-            f"sweep: evaluation failed at sqrtE={cli._fmt(f)}: stack has "
-            f"rank zero\n" for f in self.FREQS[[1, 3]])
+            f"sweep: evaluation failed at sqrtE={cli._fmt(f)}: injected\n"
+            for f in self.FREQS[[1, 3]])
         lines = whole.read_text().splitlines()
         assert out.read_text().splitlines() == [lines[0], lines[1], lines[3]]
 
@@ -552,6 +553,7 @@ _EXIT_CASES = {
        for cmd, flags in _COMMAND_FLAGS.items()},
     "disc-check-nmax250": (["disc-check", "--nmax", "250"], 2),
     "disc-check-lmax150": (["disc-check", "--lmax", "150"], 2),
+    "disc-check-lmax0": (["disc-check", "--lmax", "0"], 2),
     "disc-check-nmax-1": (["disc-check", "--nmax", "-1"], 2),
     # filter scale h = 1/freq above 1; sweep and solve exited 3 before their
     # samples passed input errors on
@@ -585,9 +587,9 @@ _EXIT_CASES = {
 
 
 class TestExitCodes:
-    """``main`` maps a library error to exit 2 when it is a ``ValueError``
-    (bad input) and to 3 otherwise, with one line ``<command>: <message>``
-    on stderr, whichever command raised it."""
+    """``main`` maps a library error to exit 2 when it is a ``DomainError``
+    (bad input) and to 3 when it is a ``NumericalError``, with one line
+    ``<command>: <message>`` on stderr, whichever command raised it."""
 
     @pytest.mark.parametrize("argv,code", _EXIT_CASES.values(),
                              ids=_EXIT_CASES.keys())
@@ -597,6 +599,27 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert err.startswith(f"{argv[0]}: ")
+
+    @pytest.mark.parametrize("case, sqrtE", [
+        ("mode-freq0.5", "0.5"), ("sweep-fmax0.6", "0.3"),
+        ("solve-f1-0.6", "0.3")])
+    def test_frequency_below_one_named(self, tmp_path, capsys, case, sqrtE):
+        # the first sample's frequency, not the filter scale h = 1/sqrtE
+        argv, _ = _EXIT_CASES[case]
+        assert run([*argv, "--out", str(tmp_path / "x.out")]) == 2
+        assert capsys.readouterr().err == (
+            f"{argv[0]}: sqrtE must be at least 1 (filter scale h = "
+            f"1/sqrtE), got {sqrtE}\n")
+
+    @pytest.mark.parametrize("case, message", [
+        ("disc-check-nmax250", "nmax must be <= 200"),
+        ("disc-check-lmax150", "lmax must be in [1, 100]"),
+        ("disc-check-lmax0", "lmax must be in [1, 100]")])
+    def test_disc_check_range_names_option(self, tmp_path, capsys, case,
+                                           message):
+        argv, _ = _EXIT_CASES[case]
+        assert run([*argv, "--out", str(tmp_path / "x.out")]) == 2
+        assert capsys.readouterr().err == f"disc-check: {message}\n"
 
     @pytest.mark.parametrize("case, flag", [
         ("mode-freq1e-200", "--freq"), ("sweep-fmax2e-200", "--fmin"),
@@ -621,6 +644,31 @@ class TestExitCodes:
             f"{argv[0]}: {flag}: need {name} > 0 and E = {name}^2 finite, "
             f"got {name} = {float(value)!r}\n")
         assert not (tmp_path / "x.out").exists()
+
+    def test_library_raises_only_its_two_kinds(self):
+        """Every ``raise`` in the package names ``DomainError`` or
+        ``NumericalError`` or re-raises, so no bare ``ValueError`` ends the
+        CLI in a traceback, and ``errors`` defines the only exception
+        classes.  The package ``__getattr__`` raises the ``AttributeError``
+        that PEP 562 prescribes for an unknown name."""
+        raised, classes = set(), set()
+        for path in Path(cli.__file__).resolve().parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc
+                    name = (exc.func.id if isinstance(exc, ast.Call)
+                            and isinstance(exc.func, ast.Name)
+                            else ast.unparse(exc))
+                    raised.add((path.name, name))
+                elif isinstance(node, ast.ClassDef) and any(
+                        ast.unparse(base).endswith(("Error", "Exception"))
+                        for base in node.bases):
+                    classes.add((path.name, node.name))
+        raised.discard(("__init__.py", "AttributeError"))
+        assert {name for _, name in raised} == {"DomainError",
+                                                "NumericalError"}
+        assert classes == {("errors.py", name) for name in (
+            "NeuspecError", "DomainError", "NumericalError")}
 
     def test_console_script_path(self, tmp_path):
         src = Path(cli.__file__).resolve().parents[1]

@@ -5,7 +5,7 @@ from scipy import special as sp
 from neuspec import (DiscMode, boundary_ratio, disc_modes_in_window,
                      interior_norm_disc, jnprime_zero, quasi_orth_gram_norm,
                      weighted_ratio)
-from neuspec.errors import DomainError, IncompleteEnumerationError
+from neuspec.errors import DomainError, NumericalError
 
 
 def make_mode(n, l, parity="cos"):
@@ -74,7 +74,7 @@ class TestEnumeration:
     def test_order_cap_raises(self):
         # orders up to 201 could reach a window ending above 201; the zeros
         # stop at order 200
-        with pytest.raises(IncompleteEnumerationError):
+        with pytest.raises(NumericalError, match="order cap 200 reached"):
             disc_modes_in_window(201.0, 201.5)
         modes = disc_modes_in_window(200.0, 201.0)
         assert modes and max(m.n for m in modes) < 200
@@ -160,3 +160,21 @@ class TestDiscMode:
     def test_no_sine_for_n0(self):
         with pytest.raises(DomainError):
             DiscMode(n=0, l=1, mu=3.8317, parity="sin")
+
+
+class TestIdentityChecks:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"nmax": -1}, "nmax must be >= 0"),
+        ({"nmax": 201}, "nmax must be <= 200"),
+        ({"lmax": 0}, r"lmax must be in \[1, 100\]"),
+        ({"lmax": 101}, r"lmax must be in \[1, 100\]")])
+    def test_bounds_checked_before_any_work(self, monkeypatch, kwargs,
+                                            message):
+        import neuspec.disc
+
+        def no_work(*args):
+            raise AssertionError("the suite started")
+
+        monkeypatch.setattr(neuspec.disc, "jnprime_zeros", no_work)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            neuspec.disc.identity_checks(**kwargs)

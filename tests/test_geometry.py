@@ -1,11 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from neuspec import (RadialCurve, SystemBuilder, arclength_spectral, area,
                      build_grid, charge_points, contains, interior_grid)
-from neuspec.errors import ChargePlacementError, InvalidCurveError
+from neuspec.errors import DomainError, NumericalError
 from neuspec.geometry import mirror_fold, mirror_unfold
+
+
+def charge_index(exc):
+    """The index of the first bad charge point, read from the message."""
+    return int(re.match(r"charge point (\d+) at ", str(exc)).group(1))
 
 
 def perimeter_oracle(curve, upper=2 * np.pi):
@@ -49,21 +56,20 @@ class TestBuildGrid:
         assert np.einsum("md,md->m", g.x, g.nrm).min() > 0
 
     def test_rejects_bad_sizes(self, disc):
-        with pytest.raises(InvalidCurveError):
-            build_grid(disc, 7)
-        with pytest.raises(InvalidCurveError):
-            build_grid(disc, 4)
+        for M in (7, 4):
+            with pytest.raises(DomainError, match="even integer >= 8"):
+                build_grid(disc, M)
 
     def test_nonpositive_radius_rejected(self):
-        with pytest.raises(InvalidCurveError):
+        with pytest.raises(DomainError, match="radius must be positive"):
             RadialCurve.radial(1.0, 1.5, 3, 0.2)
 
 
 class TestRadialCurve:
     def test_bad_constructor_arguments(self):
-        with pytest.raises(InvalidCurveError, match="positive integer"):
+        with pytest.raises(DomainError, match="positive integer"):
             RadialCurve.radial(1.0, 0.3, 0, 0.2)
-        with pytest.raises(InvalidCurveError, match="constant cosine"):
+        with pytest.raises(DomainError, match="constant cosine"):
             RadialCurve.trig([])
 
     def test_repr_prints_plain_floats(self):
@@ -76,7 +82,7 @@ class TestRadialCurve:
 
 class TestArclength:
     def test_odd_node_count_rejected(self, disc):
-        with pytest.raises(InvalidCurveError, match="M must be even"):
+        with pytest.raises(DomainError, match="M must be even"):
             arclength_spectral(disc, 63)
 
     def test_circle_exact(self, disc):
@@ -142,7 +148,8 @@ class TestChargePoints:
     def test_huge_tau_rejected_or_distant(self, wobbly):
         try:
             cs = charge_points(wobbly, 32, 5.0)
-        except ChargePlacementError:
+        except NumericalError as exc:
+            assert "is not strictly exterior" in str(exc)
             return
         assert np.hypot(cs.y[:, 0], cs.y[:, 1]).max() > 1e6
 
@@ -157,22 +164,24 @@ class TestChargePoints:
             prev = d
 
     def test_invalid_tau(self, disc):
-        with pytest.raises(InvalidCurveError):
+        with pytest.raises(DomainError, match="tau must be positive"):
             charge_points(disc, 8, 0.0)
 
     def test_no_charges_rejected(self, disc):
-        with pytest.raises(InvalidCurveError, match="N must be positive"):
+        with pytest.raises(DomainError, match="N must be positive"):
             charge_points(disc, 0, 0.1)
 
     def test_first_interior_charge_reported(self, wobbly):
         # at tau=0.1 the continuation of the three-lobe curve folds back
         # inside it
-        with pytest.raises(ChargePlacementError) as info:
+        with pytest.raises(NumericalError) as info:
             charge_points(wobbly, 64, 0.1)
-        assert info.value.index == 9
-        # Python floats, which print as plain numbers in the message
-        assert [type(c) for c in info.value.point] == [float, float]
-        assert f"at {info.value.point} is" in str(info.value)
+        assert charge_index(info.value) == 9
+        # the point prints as Python floats (plain numbers, not np.float64)
+        z = wobbly.position(2 * np.pi * (np.arange(64) / 64 - 0.1j))[9]
+        point = (z.real.item(), z.imag.item())
+        assert str(info.value) == (f"charge point 9 at {point} is not "
+                                   "strictly exterior")
 
     @pytest.mark.parametrize("N", [16, 64, 350])
     @pytest.mark.parametrize("tau", [0.01, 0.025, 0.05, 0.08, 0.1, 0.3, 5.0])
@@ -188,8 +197,8 @@ class TestChargePoints:
         try:
             charge_points(wobbly, N, tau)
             index = None
-        except ChargePlacementError as exc:
-            index = exc.index
+        except NumericalError as exc:
+            index = charge_index(exc)
         assert index == expect
 
 

@@ -12,7 +12,7 @@ from neuspec import (EigenResult, SystemBuilder, TensionSolver,
                      classical_tension, disc_modes_in_window, inclusion_bounds,
                      jnprime_zero, jnprime_zeros_upto, localize_minimum,
                      parabolic_min, sweep, weyl_index)
-from neuspec.errors import DomainError, NumericalError, RankCollapseError
+from neuspec.errors import DomainError, NumericalError
 from neuspec.tension import TensionEval
 
 MU_30_1 = 32.534223556790142
@@ -302,7 +302,7 @@ class TestPresolve:
             def evaluate(self, E):
                 calls.append(E)
                 if E == fs[1] ** 2:
-                    raise RankCollapseError("injected")
+                    raise NumericalError("injected")
                 return solver.evaluate(E)
 
         res = localize_minimum(FailsAtPoint1(), (3.835, 3.95), coarse=11)
@@ -359,7 +359,7 @@ class TestPresolve:
 
             def evaluate(self, E):
                 if E < self.below:
-                    raise RankCollapseError("injected")
+                    raise NumericalError("injected")
                 return solver.evaluate(E)
 
         res = localize_minimum(Flaky(3.75 ** 2), (3.7, 3.95), coarse=11)
@@ -414,7 +414,7 @@ class TestPresolve:
 
             def evaluate(self, E):
                 if E > 3.91 ** 2:
-                    raise RankCollapseError("injected")
+                    raise NumericalError("injected")
                 return solver.evaluate(E)
 
         res = localize_minimum(FailsAbove(), (3.7, 3.95), coarse=11)
@@ -453,7 +453,7 @@ class _Stub:
         t = self.t(E)
         if t is None:
             self.records.append("injected")
-            raise RankCollapseError("injected")
+            raise NumericalError("injected")
         self.records.append(SimpleNamespace(t_min=t, t_classical=t,
                                             alpha=np.ones(1), t_second=1.0))
         return self.records[-1]

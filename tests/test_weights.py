@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from neuspec import build_filter_matrix, build_grid, f_weight, g_weight
-from neuspec.errors import InvalidCurveError
+from neuspec.errors import DomainError
 from neuspec.weights import smooth_step
 
 
@@ -55,9 +55,9 @@ class TestScalarWeights:
         assert np.abs(g_weight(sig, h) * f_weight(sig, h) - 1.0).max() < 1e-15
 
     def test_h_range_checked(self):
-        with pytest.raises(InvalidCurveError):
+        with pytest.raises(DomainError, match=r"h must lie in \(0, 1\]"):
             g_weight(0.5, 0.0)
-        with pytest.raises(InvalidCurveError):
+        with pytest.raises(DomainError, match=r"h must lie in \(0, 1\]"):
             f_weight(0.5, 1.5)
 
 
@@ -82,7 +82,7 @@ class TestFilterSpec:
     def test_requires_divisible_by_four(self, disc):
         g = build_grid(disc, 64)
         object.__setattr__(g, "M", 66)  # simulate a bad size
-        with pytest.raises(InvalidCurveError):
+        with pytest.raises(DomainError, match="divisible by 4"):
             build_filter_matrix(g, 0.05)
 
 
