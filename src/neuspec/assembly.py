@@ -2,11 +2,11 @@
 
 Basis functions are point sources phi_n(x) = Y0(sqrt(E) |x - y_n|) with the
 charges y_n strictly exterior.  ``SystemBuilder.traces`` builds four weighted
-trace matrices (values, normal derivative, tangential derivative, dilation
-derivative), all with rows scaled by sqrt(w_m) so that Euclidean norms
-approximate boundary L2 norms.  ``SystemBuilder.system`` reduces them to what
-the tensions read: the filtered normal derivative A_w = F A_nor, the
-unfiltered A_nor for the classical tension, and the interior-norm factor B.
+trace matrices (values, normal derivatives, and the E-derivatives of both),
+all with rows scaled by sqrt(w_m) so that Euclidean norms approximate
+boundary L2 norms.  ``SystemBuilder.system`` reduces them to what the
+tensions read: the filtered normal derivative A_w = F A_nor, the unfiltered
+A_nor for the classical tension, and the interior-norm factor B.
 The builder's tables, the traces and ``point_source_sum`` are filled in
 row blocks on ``special.kernel_threads()`` workers (``_row_blocks``),
 bit-equal for any thread count.
@@ -22,23 +22,17 @@ sign.  It sums the points far from every charge through one local Bessel
 expansion per raster tile (Graf's addition theorem, the local half of a
 fast multipole method), and the rest through ``point_source_sum``.
 
-The interior L2 norm of an E-Helmholtz function is evaluated on the boundary
-through the Rellich-type identity
+The interior L2 norm comes from the boundary alone, on any domain, through
+Green's identity in E: phi_n' = d phi_n / dE solves Delta phi' + E phi' =
+-phi_n inside, so for u = sum alpha_n phi_n and n the outward normal
 
-    2E ||u||^2_{L2(Omega)} =
-        integral over the boundary of
-            (x.n) (E u^2 - (d_n u)^2 - (d_t u)^2) + 2 (x.grad u)(d_n u) ds,
+    ||u||^2_{L2(Omega)} = integral over the boundary of u' d_n u - u d_n u' ds,
 
-with n the outward normal.  (Note the minus sign on (d_n u)^2: with the full
-gradient in the cross term this is the form that matches independent 2-D
-quadrature; the terms differing from the commonly quoted
-"+ (d_n u)^2" variant cancel on Neumann data, which is why both look right
-near eigenvalues.)  The quadratic form is H; its truncated eigendecomposition
-provides the square-root factor B with B^T B ~= H, keeping the eigenpairs
-with lambda_j >= EPS_H * lambda_1 (EPS_H = 1e-12).  The form is used only on
-domains star-shaped about the origin, where the boundary weight x.n is
-positive (true of every ``RadialCurve``); ``interior_norm_matrix`` checks it
-at every node.
+where phi_n' = -(d / 2k) Y1(k d) and d_n phi_n' = -(d / 2) Y0(k d) (x -
+y_n).n / d for k = sqrt(E), d = |x - y_n|.  So H = sym(A_E^T A_nor - A_val^T
+A_En), two Gram products, and its truncated eigendecomposition gives B with
+B^T B ~= H, keeping the eigenpairs with lambda_j >= EPS_H * lambda_1 (EPS_H =
+1e-12).
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -68,25 +62,26 @@ class TensionSystem:
     A_nor: np.ndarray
     B: np.ndarray        # B^T B ~= H, the interior-norm form
     basis: tuple         # sqrt_factor's (parity, V, D) per class
+    traces: tuple        # SystemBuilder.traces, for interior_norm
 
 
-def interior_norm_matrix(grid, A_val, A_nor, A_tan, A_dil, E):
+def interior_norm_matrix(A_val, A_nor, A_E, A_En):
     """Quadratic form H with alpha^T H alpha ~= ||u||^2_{L2(Omega)} for
-    u = sum alpha_n phi_n.  Valid because every basis column solves the
-    Helmholtz equation at energy E inside the domain, which must be
-    star-shaped about the origin: x.n > 0 at every node, else a
-    ``DomainError``."""
-    xn = np.einsum("md,md->m", grid.x, grid.nrm)
-    if not np.all(xn > 0):
-        raise DomainError("the Rellich form needs x.n > 0 at every "
-                          "boundary node (star-shaped about the origin)")
-    xn = xn[:, None]
-    X = A_dil.T @ A_nor
-    H = (E * (A_val * xn).T @ A_val
-         - (A_nor * xn).T @ A_nor
-         - (A_tan * xn).T @ A_tan
-         + X + X.T) / (2.0 * E)
+    u = sum alpha_n phi_n, from the traces of ``SystemBuilder.traces``
+    (Green's identity in E, module docstring)."""
+    H = A_E.T @ A_nor - A_val.T @ A_En
     return 0.5 * (H + H.T)
+
+
+def interior_norm(traces, alpha):
+    """(q, S_q): q = alpha^T H alpha for H of :func:`interior_norm_matrix`,
+    formed from the products of the ``traces`` with ``alpha``, and its
+    rounding scale S_q, the same form on |A| and |alpha| with both terms
+    added."""
+    val, nor, e, en = (A @ alpha for A in traces)
+    a, buf = np.abs(alpha), np.empty_like(traces[0])
+    abs_val, abs_nor, abs_e, abs_en = (np.abs(A, out=buf) @ a for A in traces)
+    return float(e @ nor - val @ en), float(abs_e @ abs_nor + abs_val @ abs_en)
 
 
 def sqrt_factor(H, classes=(0,)):
@@ -367,10 +362,10 @@ class SystemBuilder:
     many energies (a sweep, a minimum search) costs only the Bessel
     evaluations, the filter product, and the dense linear algebra.
 
-    The tables (``_dist`` = |x_m - y_n|, and (x_m - y_n) . v_m over it for
-    v the normal, the tangent and x) and the traces fill in place, each
-    worker its own rows (``_row_blocks``); a node within 1e-12 of a charge
-    raises ``NumericalError`` before any 1/d is formed."""
+    The tables (``_dist`` = |x_m - y_n| and ``_proj_nor`` = (x_m - y_n) . n_m
+    over it) and the traces fill in place, each worker its own rows
+    (``_row_blocks``); a node within 1e-12 of a charge raises
+    ``NumericalError`` before any 1/d is formed."""
 
     def __init__(self, curve, M, N, tau):
         if M % 4:
@@ -382,67 +377,65 @@ class SystemBuilder:
         # parities of the classes; with N <= 2 every charge is its own mirror
         self.classes = (1, -1) if curve.symmetric and N > 2 else (0,)
         shape = (len(self.grid.x), self.charges.N)
-        self._dist, self._proj_nor, self._proj_tan, self._proj_dil = tables = [
-            np.empty(shape) for _ in range(4)]
+        self._dist, self._proj_nor = np.empty(shape), np.empty(shape)
 
         def fill(lo, hi, buffers):
-            dx, dy, inv, tmp = buffers
-            x = self.grid.x[lo:hi]
+            dx, dy = buffers
+            x, nrm = self.grid.x[lo:hi], self.grid.nrm[lo:hi]
+            d, p = self._dist[lo:hi], self._proj_nor[lo:hi]
             np.subtract(x[:, :1], self.charges.y[:, 0], out=dx)
             np.subtract(x[:, 1:], self.charges.y[:, 1], out=dy)
-            d = self._dist[lo:hi]
-            np.add(np.square(dx, out=d), np.square(dy, out=tmp), out=d)
+            np.add(np.square(dx, out=d), np.square(dy, out=p), out=d)
             np.sqrt(d, out=d)
             if d.min() < 1e-12:
                 raise NumericalError("a node and a charge nearly coincide")
-            np.divide(1.0, d, out=inv)
-            for proj, v in zip(tables[1:], (self.grid.nrm, self.grid.tng,
-                                            self.grid.x)):
-                # (x_m - y_n) . v_m / |x_m - y_n|
-                p, v = proj[lo:hi], v[lo:hi]
-                np.add(np.multiply(dx, v[:, :1], out=p),
-                       np.multiply(dy, v[:, 1:], out=tmp), out=p)
-                np.multiply(p, inv, out=p)
+            np.add(np.multiply(dx, nrm[:, :1], out=p),
+                   np.multiply(dy, nrm[:, 1:], out=dy), out=p)
+            np.multiply(p, np.divide(1.0, d, out=dx), out=p)
 
-        _row_blocks(*shape, ROW_BLOCK, 4, fill)
+        _row_blocks(*shape, ROW_BLOCK, 2, fill)
         self._sw = np.sqrt(self.grid.w)[:, None]
 
     def traces(self, E):
-        """Weighted traces (A_val, A_nor, A_tan, A_dil) of the point-source
-        basis and its derivatives at energy E, each M x N.
+        """Weighted traces (A_val, A_nor, A_E, A_En) of the point-source
+        basis at energy E, each M x N: the values and normal derivatives,
+        and the E-derivatives of both (module docstring).
 
         grad phi_n(x) = -sqrt(E) Y1(sqrt(E)|x - y_n|) (x - y_n)/|x - y_n|.
         """
         if not 0 < E < np.inf:
             raise DomainError("E must be finite and positive")
         k = np.sqrt(E)
-        A_val, A_nor, A_tan, A_dil = [np.empty(self._dist.shape)
-                                      for _ in range(4)]
+        A_val, A_nor, A_E, A_En = [np.empty(self._dist.shape)
+                                   for _ in range(4)]
 
         def fill(lo, hi, buffers):
             kd, sw = buffers[0], self._sw[lo:hi]
-            np.multiply(k, self._dist[lo:hi], out=kd)
+            d, p = self._dist[lo:hi], self._proj_nor[lo:hi]
+            np.multiply(k, d, out=kd)
             # special's names: a tracer may wrap this module's for one thread
             val = special.bessel_y0(kd, out=A_val[lo:hi])
             np.multiply(sw, val, out=val)
-            sw_y1 = special.bessel_y1(kd, out=A_dil[lo:hi])
+            sw_y1 = special.bessel_y1(kd, out=A_E[lo:hi])
             np.multiply(sw, np.multiply(-k, sw_y1, out=sw_y1), out=sw_y1)
-            np.multiply(sw_y1, self._proj_nor[lo:hi], out=A_nor[lo:hi])
-            np.multiply(sw_y1, self._proj_tan[lo:hi], out=A_tan[lo:hi])
-            np.multiply(sw_y1, self._proj_dil[lo:hi], out=sw_y1)
+            np.multiply(sw_y1, p, out=A_nor[lo:hi])
+            # -(d / 2k) sqrt(w) Y1 and -(d / 2) sqrt(w) Y0 (x - y).n / d
+            np.multiply(sw_y1, np.multiply(d, 0.5 / E, out=kd), out=sw_y1)
+            en = np.multiply(val, np.multiply(d, -0.5, out=kd),
+                             out=A_En[lo:hi])
+            np.multiply(en, p, out=en)
 
         _row_blocks(*self._dist.shape, ROW_BLOCK, 1, fill)
-        return A_val, A_nor, A_tan, A_dil
+        return A_val, A_nor, A_E, A_En
 
     def system(self, E):
         """The TensionSystem at energy E >= 1 (the filter scale 1/sqrtE is at
-        most 1).  The low-rank filter, H and the other three traces are freed
-        on return."""
+        most 1).  The low-rank filter and H are freed on return."""
         if 0 < E < 1:
             raise DomainError(f"sqrtE must be at least 1 (filter scale h = "
                               f"1/sqrtE), got {float(np.sqrt(E))!r}")
-        A_val, A_nor, A_tan, A_dil = self.traces(E)
-        A_w = build_filter_matrix(self.grid, 1.0 / np.sqrt(E)) @ A_nor
-        H = interior_norm_matrix(self.grid, A_val, A_nor, A_tan, A_dil, E)
-        B, _, basis = sqrt_factor(H, self.classes)
-        return TensionSystem(A_w=A_w, A_nor=A_nor, B=B, basis=basis)
+        traces = self.traces(E)
+        A_w = build_filter_matrix(self.grid, 1.0 / np.sqrt(E)) @ traces[1]
+        B, _, basis = sqrt_factor(interior_norm_matrix(*traces), self.classes)
+        return TensionSystem(A_w=A_w, A_nor=traces[1], B=B, basis=basis,
+                             traces=traces)

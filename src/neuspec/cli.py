@@ -255,11 +255,10 @@ def cmd_solve(args):
         print(f"solve: presolve failed at sqrtE={_fmt(f)}: {msg}", file=sys.stderr)
     wall = time.perf_counter() - t_start
     status = EXIT_OK
-    if not res.converged:
+    if not res.certified:
         status = EXIT_NUMERICAL
-        print(f"solve: no converged interior minimum (evaluation budget "
-              f"spent or bracket end reached), best iterate at "
-              f"sqrtE={_fmt(res.sqrtE)}", file=sys.stderr)
+        print(f"solve: not certified: {'; '.join(res.reasons)}; best iterate "
+              f"at sqrtE={_fmt(res.sqrtE)}", file=sys.stderr)
     doc = [
         ("sqrtE", _fmt(res.sqrtE)),
         ("E", _fmt(res.E)),
@@ -283,6 +282,8 @@ def cmd_solve(args):
         ("threads", str(kernel_threads())),
         ("wall_seconds", _fmt(wall)),
         ("converged", "true" if res.converged else "false"),
+        ("certified", "true" if res.certified else "false"),
+        ("reasons", "[" + ", ".join(f'"{r}"' for r in res.reasons) + "]"),
     ]
     body = ",\n".join(f'  "{k}": {v}' for k, v in doc)
     with open(args.out, "w") as fh:

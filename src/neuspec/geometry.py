@@ -5,10 +5,9 @@ boundary is x(t) = (r(t) cos t, r(t) sin t), traversed counterclockwise.
 Every radius formula used here is entire, so r and r' can be evaluated at
 complex parameter values, which is how the exterior charge curve is produced.
 
-Normals point outward.  The analysis behind the tension functional only uses
-norms of the normal derivative, so orientation is free; outward keeps
-x . n > 0 on star-shaped curves, which makes the interior-norm matrix built
-downstream formally positive.
+Normals point outward.  The tension functional only uses norms of the
+normal derivative, but Green's identity behind the interior-norm matrix
+(``assembly``) needs the outward normal: an inward one flips its sign.
 
 Arclength at the nodes comes from the spectrally integrated speed, one FFT
 and one inverse FFT, so it costs O(M log M).

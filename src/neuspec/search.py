@@ -34,6 +34,23 @@ j'_{30,1} (tau=0.1 and 0.05), j'_{9,7} (tau=0.1), j'_{20,2} (tau=0.05 and
 on the whole stack and 2.5 u*E per reflection class; delta_t adds 16 u*E
 to eps_new, four times the larger.
 
+The bound also needs the interior norm of the returned alpha, which
+``min_tension`` scales so that q = alpha^T H alpha = 1.  Where the charges
+sit too far out the coefficients grow (Barnett & Betcke, J. Comput. Phys.
+227, 2008), and the indefinite boundary form behind H (``assembly``) can
+lose every digit of q to cancellation.  So each evaluation also forms q from
+its traces with its rounding scale u S_q (``assembly.interior_norm``), and
+a result is certified only when
+
+    q - N u S_q >= Q_FLOOR      (Q_FLOOR = 1/2),
+
+N u being Higham's gamma_N for a length-N dot product (Accuracy and
+Stability of Numerical Algorithms, 2002), else it reads "interior norm lost
+to rounding".  The verdict is read at the landing only and never steers the
+search: gamma_N is loose, and on the three-lobe domain at M=5000, N=2500,
+tau=0.004 a flank sample (sqrtE 405.002) reads lost (N u S_q = 49) where q
+is right to 1e-9, while the dip at 405.003087928852 reads u S_q = 5.6e-12.
+
 The presolve samples its coarse grid lazily (``_v_walk``): the grid ends,
 then a walk from the dip of the V through them to the smallest sample b.
 The rest of the grid is sampled unless the V through b's neighbours, of
@@ -60,7 +77,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import SystemBuilder
+from .assembly import SystemBuilder, interior_norm
 from .errors import DomainError, NumericalError
 from .geometry import area, arclength_spectral
 from .tension import TensionEval, classical_tension, min_tension
@@ -70,6 +87,7 @@ C_EST_DEFAULT = 1.6
 C_ENNENBACH = 7.4
 T_ROUNDING_ULPS = 10.0
 V_FIT_TOL = 0.02
+Q_FLOOR = 0.5
 
 _UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
 _SQRTE_MAX = math.sqrt(np.finfo(float).max)  # the largest f with f^2 finite
@@ -86,6 +104,9 @@ class EigenResult:
     bounds the exact tension at ``E``, and ``eps_new = c_est * t_min``.
     ``converged`` is False when the search ran out of evaluations or ended
     on a bracket end, where the bounds describe the end, not a dip.
+    ``reasons`` names why the bounds are not certified ("interior norm lost
+    to rounding", module docstring; "no converged interior minimum"), and
+    ``certified`` is True when it names none.
     ``evaluations`` is the solve's log, one ``(sqrtE, record)`` pair per
     energy evaluated in the order they ran, as ``sweep`` returns; a message
     (a ``str``) in it is a failed presolve sample.  ``n_presolve`` counts
@@ -103,6 +124,8 @@ class EigenResult:
     weyl_index: float
     slope: float
     converged: bool
+    certified: bool
+    reasons: tuple
     n_presolve: int
     evaluations: tuple
 
@@ -121,10 +144,13 @@ class TensionSolver:
 
     def evaluate(self, E):
         """TensionEval at energy E, with coefficients normalized to unit
-        interior norm, their classical tension and the rank of H."""
+        interior norm, their classical tension, the rank of H, and their q
+        with its rounding scale."""
         system = self.builder.system(E)
         ev = min_tension(system.A_w, system.B, basis=system.basis)
-        return replace(ev, E=float(E), rank_H=len(system.B),
+        q, s_q = interior_norm(system.traces, ev.alpha)
+        return replace(ev, E=float(E), rank_H=len(system.B), q=q,
+                       q_scale=_UNIT_ROUNDOFF * s_q,
                        t_classical=classical_tension(ev.alpha, system.A_nor,
                                                      system.B))
 
@@ -307,7 +333,8 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
     ``DomainError`` propagates, and all failing raises ``NumericalError``.
     If the evaluation budget runs out, or the minimum lands on a bracket end
     (the tension falls toward it, so the dip may lie outside), the best
-    iterate is still returned, marked ``converged=False``.
+    iterate is still returned, marked ``converged=False``.  Either, or an
+    interior norm lost to rounding, marks it ``certified=False``.
     """
     f_lo, f_hi = bracket
     if not 0 < f_lo < f_hi <= _SQRTE_MAX:
@@ -371,6 +398,10 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
               key=lambda E: abs(E - E_star))
     slope = (memo[E_n].t_min - best.t_min) / abs(E_n - E_star)
 
+    # a nan q reads lost
+    lost = not best.q - len(best.alpha) * best.q_scale >= Q_FLOOR
+    reasons = (("interior norm lost to rounding",) * lost
+               + ("no converged interior minimum",) * (not converged))
     t_bound = best.t_min + T_ROUNDING_ULPS * _UNIT_ROUNDOFF * E_star
     eps_new, eps_clas = inclusion_bounds(E_star, t_bound, best.t_classical,
                                          c_est=c_est)
@@ -379,6 +410,7 @@ def localize_minimum(solver, bracket, c_est=C_EST_DEFAULT, coarse=0):
                        eps_clas=float(eps_clas), n_evals=n_evals,
                        weyl_index=float(weyl_index(solver.curve, E_star)),
                        slope=float(slope), converged=converged,
+                       certified=not reasons, reasons=reasons,
                        n_presolve=n_presolve,
                        evaluations=tuple((math.sqrt(E), ev)
                                          for E, ev in memo.items()))

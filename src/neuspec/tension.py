@@ -32,25 +32,25 @@ code then takes the truncated SVD of T, dropping singular values below
 ``EPS`` = 1e-14 times the largest (Betcke 2008); ``rank_eps`` counts the
 kept ones, the class's column count on the QR path.  That path is taken
 when LAPACK's 1-norm estimate (``trcon``) of the reciprocal condition
-satisfies rcond(T) > EPS.  The estimate is no bound: per class it read 13
-to 133 times the true 2-norm condition on the three-lobe domain (a0=1,
-eps=0.3, k=3, b=0.2), but 0.8 to 2.8 times on the unit disc (M=256, N=128,
-tau=0.1, sqrtE in [27.708, 27.748]: 6.2e12 to 2.5e13 against 3.7e12 to
-1.2e13).  So every admitted stack measured had a true condition number 8
+satisfies rcond(T) > EPS.  The estimate is no bound: per class it read 11
+to 167 times the true 2-norm condition on the three-lobe domain (a0=1,
+eps=0.3, k=3, b=0.2), but 2.0 to 2.5 times on the unit disc (M=256, N=128,
+tau=0.1, sqrtE in [27.708, 27.748]: 7.7e12 to 3.5e13 against 3.6e12 to
+1.4e13).  So every admitted stack measured had a true condition number 7
 times below 1/EPS, where the truncated SVD keeps every singular value.
 Per class (even|odd; SVD marks the fallback, and "whole" is the estimate
 for the unsplit stack):
 
   M    N    tau     sqrtE cond_est       true cond      rank_eps       whole
-  700  350  0.02    40.53 2.1e10|1.6e10  1.2e9|1.1e9    176|174        2.0e10
-  700  350  0.025   40.53 7.0e12|3.9e12  2.8e11|2.5e11  176|174        7.3e12
-  700  350  0.03    40.53 5.7e14|3.1e14  2.3e13|1.2e13  176|174 SVD    6.4e14
-  700  350  0.035   40.53 9.9e15|5.8e15  4.2e14|3.1e14  170|168 SVD    9.4e15
-  700  350  0.04    40.53 1.7e16|1.0e16  6.3e14|6.1e14  162|162 SVD    1.6e16
-  1400 700  0.0125  80.9  7.4e12|9.9e12  2.8e11|2.7e11  351|349        1.4e13
-  1400 700  0.025   80.9  4.2e16|4.2e16  6.6e14|5.9e14  247|246 SVD    5.6e16
-  2800 1400 0.00625 161.8 1.6e13|1.9e13  3.1e11|3.0e11  701|699        2.2e13
-  5000 2500 0.004   405.0 1.2e15|1.1e15  9.0e12|8.9e12  1251|1249 SVD  1.6e15
+  700  350  0.02    40.53 1.3e10|1.9e10  1.2e9|1.1e9    176|174        2.3e10
+  700  350  0.025   40.53 7.0e12|3.0e12  2.8e11|2.5e11  176|174        8.2e12
+  700  350  0.03    40.53 5.5e14|4.0e14  2.2e13|1.6e13  176|174 SVD    5.9e14
+  700  350  0.035   40.53 8.6e15|7.1e15  4.6e14|3.7e14  170|169 SVD    1.1e16
+  700  350  0.04    40.53 1.8e16|1.6e16  6.9e14|6.5e14  161|161 SVD    1.4e16
+  1400 700  0.0125  80.9  1.1e13|6.7e12  2.8e11|2.7e11  351|349        1.1e13
+  1400 700  0.025   80.9  4.6e16|4.2e16  6.5e14|5.9e14  249|249 SVD    4.6e16
+  2800 1400 0.00625 161.8 1.7e13|1.8e13  3.1e11|3.0e11  701|699        2.3e13
+  5000 2500 0.004   405.0 1.2e15|1.5e15  9.0e12|9.0e12  1251|1249 SVD  1.5e15
 
 Forced onto the QR path, a singular stack misreports.  On 10 pairs sharing
 a 3-dimensional null space (the tests' ``shared_null_pair``, seed 20240817)
@@ -84,9 +84,12 @@ class TensionEval:
     and it depends on the BLAS thread count (three-lobe solve: 1.86 at one
     thread, 2.13 at two).
     ``t_classical`` is the classical tension of alpha and ``rank_H`` the
-    kept rank of the interior-norm form H (the rows of B).  ``min_tension``
-    sees neither E nor A_nor nor H and leaves ``E``, ``t_classical`` and
-    ``rank_H`` nan, nan and 0; ``TensionSolver.evaluate`` fills them in.
+    kept rank of the interior-norm form H (the rows of B).  ``q`` is
+    alpha^T H alpha formed from the traces, 1 up to rounding as ||B alpha||
+    = 1, and ``q_scale`` its rounding scale u S_q (``assembly.interior_norm``,
+    u = 2^-53).  ``min_tension`` sees neither E nor the traces and leaves
+    ``E``, ``t_classical``, ``rank_H``, ``q`` and ``q_scale`` nan, nan, 0,
+    nan and nan; ``TensionSolver.evaluate`` fills them in.
     """
 
     E: float
@@ -97,6 +100,8 @@ class TensionEval:
     t_second: float
     t_classical: float = float("nan")
     rank_H: int = 0
+    q: float = float("nan")
+    q_scale: float = float("nan")
 
 
 def min_tension(A_w, B, basis=None):

@@ -1,7 +1,6 @@
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,21 +61,29 @@ class TestBasisMatrices:
             assert np.abs(A[:, n] - col).max() < 1e-14
 
     def test_normal_derivative_vs_finite_difference(self, wobbly, rng):
+        """The normal derivative against a central difference along the
+        normal, and the E-derivatives of the value and normal-derivative
+        traces against central differences in E."""
         b = SystemBuilder(wobbly, 64, 24, 0.03)
         g, cs = b.grid, b.charges
         E = 9.0
         k = np.sqrt(E)
-        _, An, At, _ = b.traces(E)
+        _, An, AE, AEn = b.traces(E)
+        dE = 1e-6 * E
+        (Av_hi, An_hi, _, _), (Av_lo, An_lo, _, _) = (b.traces(E + dE),
+                                                      b.traces(E - dE))
+        fd_E, fd_En = (Av_hi - Av_lo) / (2 * dE), (An_hi - An_lo) / (2 * dE)
         step = 1e-6
         for _ in range(20):
             m = int(rng.integers(0, 64))
             n = int(rng.integers(0, 24))
             phi = lambda p: bessel_y0(k * np.hypot(*(p - cs.y[n])))
             fd_n = (phi(g.x[m] + step * g.nrm[m]) - phi(g.x[m] - step * g.nrm[m])) / (2 * step)
-            fd_t = (phi(g.x[m] + step * g.tng[m]) - phi(g.x[m] - step * g.tng[m])) / (2 * step)
             sw = np.sqrt(g.w[m])
             assert abs(An[m, n] - sw * fd_n) < 1e-6 * max(abs(An[m, n]), 1e-3)
-            assert abs(At[m, n] - sw * fd_t) < 1e-6 * max(abs(At[m, n]), 1e-3)
+            assert abs(AE[m, n] - fd_E[m, n]) < 1e-6 * max(abs(AE[m, n]), 1e-3)
+            assert abs(AEn[m, n] - fd_En[m, n]) < 1e-6 * max(abs(AEn[m, n]),
+                                                             1e-3)
 
     def test_rotation_permutes_columns_on_circle(self, disc):
         # M a multiple of N: rotating by one charge spacing shifts rows by M/N
@@ -99,8 +106,7 @@ class TestBasisMatrices:
 
         def tables_and_traces():
             b = SystemBuilder(wobbly, 700, 350, 0.025)
-            return [b._dist, b._proj_nor, b._proj_tan, b._proj_dil,
-                    *b.traces(E)]
+            return [b._dist, b._proj_nor, *b.traces(E)]
 
         monkeypatch.setattr(neuspec.assembly, "kernel_threads", lambda: 1)
         expected = tables_and_traces()
@@ -123,9 +129,10 @@ class TestBasisMatrices:
         E = 40.53 ** 2
         k = np.sqrt(E)
         kd = k * b._dist
+        sw_y0 = b._sw * bessel_y0(kd)
         sw_y1 = b._sw * (-k * bessel_y1(kd))
-        expected = (b._sw * bessel_y0(kd), sw_y1 * b._proj_nor,
-                    sw_y1 * b._proj_tan, sw_y1 * b._proj_dil)
+        expected = (sw_y0, sw_y1 * b._proj_nor, sw_y1 * (b._dist * (0.5 / E)),
+                    sw_y0 * (b._dist * -0.5) * b._proj_nor)
         for got, want in zip(b.traces(E), expected, strict=True):
             assert np.array_equal(got, want)
 
@@ -155,7 +162,7 @@ class TestInteriorNormMatrix:
         b = SystemBuilder(curve, 512, 40, 0.03)
         cs = b.charges
         E = sqrtE ** 2
-        H = interior_norm_matrix(b.grid, *b.traces(E), E)
+        H = interior_norm_matrix(*b.traces(E))
         n = 7
         k = np.sqrt(E)
         oracle = interior_norm2_oracle(
@@ -165,33 +172,25 @@ class TestInteriorNormMatrix:
 
     def test_symmetry_exact(self, wobbly):
         b = SystemBuilder(wobbly, 64, 16, 0.03)
-        H = interior_norm_matrix(b.grid, *b.traces(4.0), 4.0)
+        H = interior_norm_matrix(*b.traces(4.0))
         assert np.abs(H - H.T).max() == 0.0
 
     def test_bilinearity(self, disc, rng):
         b = SystemBuilder(disc, 64, 16, 0.1)
-        H = interior_norm_matrix(b.grid, *b.traces(4.0), 4.0)
+        H = interior_norm_matrix(*b.traces(4.0))
         a = rng.standard_normal(16)
         assert (2 * a) @ H @ (2 * a) == pytest.approx(4 * (a @ H @ a), rel=1e-14)
 
     def test_formal_positivity(self, wobbly, rng):
         b = SystemBuilder(wobbly, 128, 32, 0.03)
         E = 25.0
-        H = interior_norm_matrix(b.grid, *b.traces(E), E)
+        H = interior_norm_matrix(*b.traces(E))
         lam1 = np.linalg.eigvalsh(H)[-1]
         for _ in range(50):
             a = rng.standard_normal(32)
             a /= np.linalg.norm(a)
             assert a @ H @ a >= -1e-8 * lam1
 
-
-    def test_star_shape_required(self, wobbly):
-        # negated normals give x.n < 0 at every node: the Rellich form's
-        # boundary weight would change sign, so the form is refused
-        b = SystemBuilder(wobbly, 64, 16, 0.03)
-        inward = replace(b.grid, nrm=-b.grid.nrm)
-        with pytest.raises(DomainError, match="needs x.n > 0 at every"):
-            interior_norm_matrix(inward, *b.traces(4.0), 4.0)
 
 class TestSqrtFactor:
     def test_identity(self):
@@ -243,7 +242,7 @@ class TestAssembleSystem:
         sys_ = b.system(E)
         assert len(sys_.B) >= 1
         assert np.isfinite(sys_.A_w).all()
-        assert np.isfinite(interior_norm_matrix(b.grid, *b.traces(E), E)).all()
+        assert np.isfinite(interior_norm_matrix(*b.traces(E))).all()
 
     def test_weighted_matrix_replay(self, disc):
         # A_w is the filter at h = E^(-1/2) applied to the normal derivative
@@ -262,7 +261,7 @@ class TestAssembleSystem:
 
     def test_h_reconstruction_bound(self, disc):
         b = SystemBuilder(disc, 128, 48, 0.1)
-        H = interior_norm_matrix(b.grid, *b.traces(50.0), 50.0)
+        H = interior_norm_matrix(*b.traces(50.0))
         B = b.system(50.0).B
         lam1 = np.linalg.eigvalsh(H)[-1]
         err = np.linalg.norm(B.T @ B - H, "fro")
@@ -665,7 +664,7 @@ class TestRasterSum:
 
 class TestSetupGeometry:
     def test_memory_is_outputs_and_block_buffers(self, wobbly, monkeypatch):
-        """The constructor allocates its four M x N tables and four block
+        """The constructor allocates its two M x N tables and two block
         buffers per worker, ``traces`` its four outputs and one buffer per
         worker, each buffer at most ROW_BLOCK values; 512 kB, a quarter of
         one table, covers the rest (about 250 kB, most of it the grid's)."""
@@ -682,17 +681,15 @@ class TestSetupGeometry:
             traced = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        assert built <= 4 * table + 2 * 4 * buffer + (512 << 10)
+        assert built <= 2 * table + 2 * 2 * buffer + (512 << 10)
         assert traced <= 4 * table + 2 * buffer + (512 << 10)
 
     def test_distances_and_projections_match_einsum(self, wobbly):
-        """The M x N tables from two coordinate differences equal the
+        """The two M x N tables from two coordinate differences equal the
         einsum over the M x N x 2 difference array bit for bit."""
         b = SystemBuilder(wobbly, 128, 64, 0.05)
         dx = b.grid.x[:, None, :] - b.charges.y[None, :, :]
         dist = np.sqrt(np.einsum("mnd,mnd->mn", dx, dx))
         assert np.array_equal(b._dist, dist)
-        inv = 1.0 / dist
-        for proj, v in ((b._proj_nor, b.grid.nrm), (b._proj_tan, b.grid.tng),
-                        (b._proj_dil, b.grid.x)):
-            assert np.array_equal(proj, np.einsum("mnd,md->mn", dx, v) * inv)
+        assert np.array_equal(
+            b._proj_nor, np.einsum("mnd,md->mn", dx, b.grid.nrm) * (1.0 / dist))

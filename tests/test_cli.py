@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neuspec import cli
+from neuspec import cli, jnprime_zero
 from neuspec.errors import DomainError
 
 MU_30_1 = 32.534223556790142
@@ -201,6 +201,7 @@ class TestSolveCommand:
         doc = json.loads(out.read_text())
         assert abs(doc["sqrtE"] - MU_30_1) < 1e-9
         assert doc["converged"] is True
+        assert doc["certified"] is True and doc["reasons"] == []
         assert doc["E"] == pytest.approx(doc["sqrtE"] ** 2, rel=1e-15)
         assert doc["eps_new_rel"] == pytest.approx(doc["eps_new"] / doc["E"], rel=1e-12)
         assert doc["n_evals"] >= 3
@@ -216,14 +217,38 @@ class TestSolveCommand:
         for key in ("sqrtE", "t_min", "eps_new"):
             assert cli._fmt(doc[key]) in text
 
-    def test_bracket_end_minimum_exit3(self, tmp_path):
-        # without a presolve the search ends on the bracket's upper end
+    def test_bracket_end_minimum_exit3(self, tmp_path, capsys):
+        # without a presolve the search ends on rounding noise near the
+        # upper end, unless it finds the narrow dip at j'_{20,2}: a noise
+        # landing is not certified and exits 3
         out = tmp_path / "end.json"
         rc = run(["solve", "--curve", DISC, "--f0", "27.708039453137719",
                   "--f1", "27.747889183327814", "--M", "256", "--N", "128",
                   "--tau", "0.1", "--coarse", "0", "--out", str(out)])
-        assert rc == 3
-        assert json.loads(out.read_text())["converged"] is False
+        doc = json.loads(out.read_text())
+        assert rc == (0 if doc["certified"] else 3)
+        assert (not doc["certified"]
+                or abs(doc["E"] - jnprime_zero(20, 2) ** 2) <= doc["eps_new"])
+        if rc == 3:
+            assert doc["reasons"]
+            assert capsys.readouterr().err.startswith(
+                f"solve: not certified: {'; '.join(doc['reasons'])}; ")
+
+    @pytest.mark.parametrize("f0, f1", [("40.50", "40.55"),
+                                        ("40.502", "40.548"),
+                                        ("40.504", "40.546")])
+    def test_far_charges_exit3(self, tmp_path, capsys, f0, f1):
+        # at tau=0.04 the coefficients grow to 1e10 and the presolve lands
+        # on noise whose interior norm is lost to rounding
+        out = tmp_path / "far.json"
+        rc = run(["solve", "--curve", WOBBLY, "--f0", f0, "--f1", f1,
+                  "--M", "700", "--N", "350", "--tau", "0.04",
+                  "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert rc == (0 if doc["certified"] else 3)
+        if abs(doc["E"] - 40.53011549421899 ** 2) > doc["eps_new"]:
+            assert "interior norm lost to rounding" in doc["reasons"]
+            assert "interior norm lost to rounding" in capsys.readouterr().err
 
     def test_failed_presolve_samples_reported(self, tmp_path, monkeypatch,
                                               capsys):

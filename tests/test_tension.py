@@ -197,11 +197,11 @@ class TestQRReduction:
         assert n_svd == len(system.basis) == 2
         assert res.rank_eps == 128
 
-    def test_disc_solver_falls_back(self, disc):
-        # at tau=0.2 both classes' rcond estimates (4e-15, 8e-15) fall below
-        # the cutoff 1e-14, and the truncated SVD drops a direction
-        assert TensionSolver(disc, 256, 128, 0.2).evaluate(
-            27.72 ** 2).rank_eps < 128
+    def test_lobe_solver_falls_back(self, wobbly):
+        # at tau=0.04 both classes' rcond estimates fall below the cutoff
+        # 1e-14 (module docstring), and the truncated SVD drops directions
+        assert TensionSolver(wobbly, 700, 350, 0.04).evaluate(
+            40.53 ** 2).rank_eps < 350
 
 
 def count_svd_calls(monkeypatch, fn, *args):
@@ -325,7 +325,7 @@ def full_stack_tension(solver, E):
     """(min_tension, B) on the whole stack: H factored as one class, as
     before the reflection split."""
     b = solver.builder
-    B, _, basis = sqrt_factor(interior_norm_matrix(b.grid, *b.traces(E), E))
+    B, _, basis = sqrt_factor(interior_norm_matrix(*b.traces(E)))
     return min_tension(b.system(E).A_w, B, basis=basis), B
 
 
